@@ -397,8 +397,8 @@ ExperimentRunner::runScenario(const Scenario &s, int simShards)
     Network net(topo, rc, s.link, s.routing, s.routingSeed, s.faults);
 
     if (s.traffic.kind == TrafficSpec::Kind::Workload) {
-        // Workload runs step the network inside runWorkload's
-        // reply-dependent loop; they always take the serial path.
+        // Workload runs derive their windows inside runWorkload
+        // rather than from s.sim; they always take the serial path.
         const WorkloadProfile &w = workloadByName(s.traffic.workload);
         return runWorkload(net, w, s.traffic.workloadCycles, s.seed);
     }
@@ -564,8 +564,9 @@ struct BatchUnit
  * and independent: Single jobs, and Sweeps that evaluate every load
  * unconditionally. Saturation searches pick each probe from the
  * previous result, stop-at-saturation sweeps abort mid-grid, and
- * workload traffic drives reply-dependent sources — those keep the
- * sequential path.
+ * workload (trace) traffic derives its warmup / measure / drain
+ * windows inside runWorkload from workloadCycles rather than taking
+ * them from Scenario::sim — those keep the sequential path.
  */
 bool
 batchableJob(const Job &job)

@@ -800,34 +800,6 @@ jobKindFromName(const std::string &name, const std::string &path)
           "' (expected single, sweep or saturation)");
 }
 
-/** (name, member pointer) table: writer and reader stay in lockstep. */
-constexpr std::pair<const char *, std::uint64_t SimCounters::*>
-    kCounterFields[] = {
-        {"bufferWrites", &SimCounters::bufferWrites},
-        {"bufferReads", &SimCounters::bufferReads},
-        {"cbWrites", &SimCounters::cbWrites},
-        {"cbReads", &SimCounters::cbReads},
-        {"crossbarTraversals", &SimCounters::crossbarTraversals},
-        {"linkFlitHops", &SimCounters::linkFlitHops},
-        {"flitsInjected", &SimCounters::flitsInjected},
-        {"flitsDelivered", &SimCounters::flitsDelivered},
-        {"packetsInjected", &SimCounters::packetsInjected},
-        {"packetsDelivered", &SimCounters::packetsDelivered},
-        {"faultEvents", &SimCounters::faultEvents},
-        {"flitsDropped", &SimCounters::flitsDropped},
-        {"packetsDropped", &SimCounters::packetsDropped},
-        {"packetsUnroutable", &SimCounters::packetsUnroutable},
-        {"packetsRefused", &SimCounters::packetsRefused},
-        {"packetsRerouted", &SimCounters::packetsRerouted},
-        {"clRequestsIssued", &SimCounters::clRequestsIssued},
-        {"clRepliesMatched", &SimCounters::clRepliesMatched},
-        {"clReqLatencySum", &SimCounters::clReqLatencySum},
-        {"clWindowOccupancy", &SimCounters::clWindowOccupancy},
-        {"clStallNodeCycles", &SimCounters::clStallNodeCycles},
-        {"clSlotsPurged", &SimCounters::clSlotsPurged},
-        {"clPhasesCompleted", &SimCounters::clPhasesCompleted},
-};
-
 } // namespace
 
 JsonValue
@@ -836,7 +808,7 @@ toJson(const SimCounters &counters)
     // Zero counters are omitted (missing == 0 on the way back), so
     // fault-free open-loop rows stay compact.
     JsonValue v = JsonValue::object();
-    for (const auto &[name, member] : kCounterFields)
+    for (const auto &[name, member] : SimCounters::kFields)
         if (counters.*member != 0)
             v.set(name, JsonValue::number(counters.*member));
     return v;
@@ -847,7 +819,7 @@ simCountersFromJson(const JsonValue &v, const std::string &path)
 {
     ObjectReader obj(v, path);
     SimCounters counters;
-    for (const auto &[name, member] : kCounterFields)
+    for (const auto &[name, member] : SimCounters::kFields)
         if (const JsonValue *m = obj.take(name))
             counters.*member = m->asU64(obj.sub(name));
     obj.finish();

@@ -1,12 +1,11 @@
 /**
  * @file
- * Load-sweep and saturation-search strategies, factored out of the
- * simulation driver so every layer (sim helpers, experiment engine,
- * benches) shares one implementation. The strategies are expressed
- * against a PointEvaluator — "give me the SimResult at this load" —
- * so they are agnostic to how the network is built (fresh factories
- * in the legacy sim API, TopologyCache-backed Scenarios in the
- * engine).
+ * Load-sweep and saturation-search strategies, shared by the
+ * experiment engine, the benches and the tests. The strategies are
+ * expressed against a PointEvaluator — "give me the SimResult at this
+ * load" — so they are agnostic to how the network is built
+ * (TopologyCache-backed Scenarios in the engine, a fresh Network per
+ * point in the tests).
  */
 
 #ifndef SNOC_EXP_STRATEGIES_HH

@@ -430,143 +430,31 @@ BatchedNetwork::auditInvariants(std::string &err) const
 
 // --- batched run driver ----------------------------------------------------
 
-namespace {
-
-/** Mirrors the tail of runSimulation(): measurement-window stats.
- *  `windowEnd` is the lane's counter snapshot taken at the end of
- *  its measurement phase, before any drain cycles ran. */
-SimResult
-assembleResult(Network &net, Cycle measured, std::uint64_t backlog,
-               const SimCounters &before, std::uint64_t offeredBefore,
-               const SimCounters &windowEnd)
-{
-    SimResult r;
-    r.cyclesRun = measured;
-    r.avgPacketLatency = net.packetLatency().mean();
-    r.avgNetworkLatency = net.networkLatency().mean();
-    r.p99PacketLatencyBound =
-        net.packetLatency().mean() + 3.0 * net.packetLatency().stddev();
-    r.avgHops = net.hopCount().mean();
-    r.packetsDelivered = net.packetLatency().count();
-    double nodes = static_cast<double>(net.topology().numNodes());
-    double cycles =
-        std::max<double>(1.0, static_cast<double>(measured));
-    r.throughput = static_cast<double>(net.flitsDeliveredInWindow()) /
-                   (nodes * cycles);
-    std::uint64_t offered = windowEnd.flitsInjected - offeredBefore;
-    r.offeredLoad = static_cast<double>(offered) / (nodes * cycles);
-    r.stable = static_cast<double>(backlog) * 6.0 <
-               std::max<double>(1.0, static_cast<double>(offered));
-    r.counters = windowEnd - before;
-    applyClosedLoopStability(r, nodes, cycles);
-    return r;
-}
-
-} // namespace
-
 std::vector<SimResult>
 runBatchedSimulation(BatchedNetwork &bn,
                      const std::vector<BatchLaneSim> &lanes)
 {
     SNOC_ASSERT(static_cast<int>(lanes.size()) == bn.numLanes(),
                 "one schedule per lane");
-
-    // Each lane walks runSimulation()'s exact control flow — warmup
-    // while alive, measurement window, optional drain — as a state
-    // machine evaluated once per global cycle; the `step` calls the
-    // unbatched driver would make are replaced by membership in this
-    // cycle's lane mask. Lanes that finish freeze (their clock
-    // stops), the rest keep stepping together.
-    enum class Phase { Warmup, Measure, Drain, Done };
-    struct LaneState
-    {
-        Phase phase = Phase::Warmup;
-        bool alive = true;
-        Cycle phaseCycle = 0; //!< completed cycles in current phase
-        Cycle measured = 0;
-        SimCounters before;
-        SimCounters windowEnd; //!< counters at measure end, pre-drain
-        std::uint64_t offeredBefore = 0;
-        std::uint64_t sourceBacklog = 0;
-    };
-    std::vector<LaneState> st(lanes.size());
-
-    // Advance a lane's state machine to its next step request;
-    // returns false when the lane is Done.
-    auto wantsStep = [&](int l) {
-        LaneState &s = st[static_cast<std::size_t>(l)];
-        Network &net = bn.lane(l);
-        const SimConfig &cfg = lanes[static_cast<std::size_t>(l)].cfg;
-        for (;;) {
-            switch (s.phase) {
-            case Phase::Warmup:
-                if (s.phaseCycle < cfg.warmupCycles && s.alive)
-                    return true;
-                net.beginMeasurement();
-                s.before = net.counters();
-                s.offeredBefore = s.before.flitsInjected;
-                s.phase = Phase::Measure;
-                s.phaseCycle = 0;
-                break;
-            case Phase::Measure:
-                if (s.phaseCycle < cfg.measureCycles && s.alive)
-                    return true;
-                s.measured = s.phaseCycle;
-                s.sourceBacklog = net.sourceQueueDepth();
-                // Pre-drain snapshot: the lane's drain cycles must
-                // not leak into its window counters (matches the
-                // unbatched driver's snapshot point).
-                s.windowEnd = net.counters();
-                s.phase = cfg.drain ? Phase::Drain : Phase::Done;
-                s.phaseCycle = 0;
-                break;
-            case Phase::Drain:
-                if ((s.alive || net.flitsInFlight() > 0 ||
-                     net.sourceQueueDepth() > 0) &&
-                    s.phaseCycle < cfg.drainCycleLimit)
-                    return true;
-                s.phase = Phase::Done;
-                break;
-            case Phase::Done:
-                return false;
-            }
-        }
-    };
-
+    std::vector<RunSchedule> runs;
+    runs.reserve(lanes.size());
+    for (int l = 0; l < bn.numLanes(); ++l) {
+        const BatchLaneSim &lane = lanes[static_cast<std::size_t>(l)];
+        runs.emplace_back(bn.lane(l), lane.source, lane.cfg);
+    }
+    // Finished lanes drop out of the mask and freeze.
     for (;;) {
         std::uint64_t mask = 0;
-        for (int l = 0; l < bn.numLanes(); ++l) {
-            LaneState &s = st[static_cast<std::size_t>(l)];
-            if (s.phase == Phase::Done || !wantsStep(l))
-                continue;
-            // The unbatched loops call the source under the same
-            // condition: always in warmup/measure (the loop guard
-            // already checked `alive`), only while alive in drain.
-            if (s.phase != Phase::Drain || s.alive) {
-                Network &net = bn.lane(l);
-                s.alive = lanes[static_cast<std::size_t>(l)].source(
-                    net, net.now());
-            }
-            mask |= std::uint64_t{1} << l;
-        }
+        for (int l = 0; l < bn.numLanes(); ++l)
+            if (runs[static_cast<std::size_t>(l)].next())
+                mask |= std::uint64_t{1} << l;
         if (mask == 0)
             break;
         bn.step(mask);
-        for (std::uint64_t m = mask; m;) {
-            int l = popLowest(m);
-            ++st[static_cast<std::size_t>(l)].phaseCycle;
-        }
     }
-
     std::vector<SimResult> results;
-    results.reserve(lanes.size());
-    for (int l = 0; l < bn.numLanes(); ++l) {
-        LaneState &s = st[static_cast<std::size_t>(l)];
-        results.push_back(assembleResult(bn.lane(l), s.measured,
-                                         s.sourceBacklog, s.before,
-                                         s.offeredBefore,
-                                         s.windowEnd));
-    }
+    for (const RunSchedule &run : runs)
+        results.push_back(run.result());
     return results;
 }
 

@@ -195,12 +195,11 @@ struct BatchLaneSim
 };
 
 /**
- * The batched equivalent of calling runSimulation() once per lane:
- * each lane runs its own warmup / measure / (optional) drain
- * schedule — transitions and cycle counts exactly as the unbatched
- * driver would — while all still-running lanes advance through one
- * BatchedNetwork::step per cycle. Lane k's SimResult is bitwise
- * identical to runSimulation(laneNetwork, source, cfg).
+ * Run one RunSchedule per lane (sim/simulation.hh): each lane walks
+ * its own warmup / measure / (optional) drain schedule, and every
+ * lane still running advances through one BatchedNetwork::step per
+ * cycle. Lane k's SimResult is bitwise identical to
+ * runSimulation(laneNetwork, source, cfg).
  */
 std::vector<SimResult>
 runBatchedSimulation(BatchedNetwork &bn,

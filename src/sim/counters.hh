@@ -8,6 +8,7 @@
 #define SNOC_SIM_COUNTERS_HH
 
 #include <cstdint>
+#include <iterator>
 
 namespace snoc {
 
@@ -71,34 +72,49 @@ struct SimCounters
         *this = SimCounters();
     }
 
+    /** One counter's name (its serialized key) and member. */
+    struct Field
+    {
+        const char *name;
+        std::uint64_t SimCounters::*member;
+    };
+
+    /** Every counter, in declaration order: the single list that
+     *  `+=`, `-`, serialization and the tests iterate. A counter
+     *  declared above but missing here fails the size check below. */
+    static constexpr Field kFields[] = {
+        {"bufferWrites", &SimCounters::bufferWrites},
+        {"bufferReads", &SimCounters::bufferReads},
+        {"cbWrites", &SimCounters::cbWrites},
+        {"cbReads", &SimCounters::cbReads},
+        {"crossbarTraversals", &SimCounters::crossbarTraversals},
+        {"linkFlitHops", &SimCounters::linkFlitHops},
+        {"flitsInjected", &SimCounters::flitsInjected},
+        {"flitsDelivered", &SimCounters::flitsDelivered},
+        {"packetsInjected", &SimCounters::packetsInjected},
+        {"packetsDelivered", &SimCounters::packetsDelivered},
+        {"faultEvents", &SimCounters::faultEvents},
+        {"flitsDropped", &SimCounters::flitsDropped},
+        {"packetsDropped", &SimCounters::packetsDropped},
+        {"packetsUnroutable", &SimCounters::packetsUnroutable},
+        {"packetsRefused", &SimCounters::packetsRefused},
+        {"packetsRerouted", &SimCounters::packetsRerouted},
+        {"clRequestsIssued", &SimCounters::clRequestsIssued},
+        {"clRepliesMatched", &SimCounters::clRepliesMatched},
+        {"clReqLatencySum", &SimCounters::clReqLatencySum},
+        {"clWindowOccupancy", &SimCounters::clWindowOccupancy},
+        {"clStallNodeCycles", &SimCounters::clStallNodeCycles},
+        {"clSlotsPurged", &SimCounters::clSlotsPurged},
+        {"clPhasesCompleted", &SimCounters::clPhasesCompleted},
+    };
+
     /** Fold another window in (the sharded loop merges per-shard
      *  counters every cycle; every field is a commutative sum). */
     SimCounters &
     operator+=(const SimCounters &o)
     {
-        bufferWrites += o.bufferWrites;
-        bufferReads += o.bufferReads;
-        cbWrites += o.cbWrites;
-        cbReads += o.cbReads;
-        crossbarTraversals += o.crossbarTraversals;
-        linkFlitHops += o.linkFlitHops;
-        flitsInjected += o.flitsInjected;
-        flitsDelivered += o.flitsDelivered;
-        packetsInjected += o.packetsInjected;
-        packetsDelivered += o.packetsDelivered;
-        faultEvents += o.faultEvents;
-        flitsDropped += o.flitsDropped;
-        packetsDropped += o.packetsDropped;
-        packetsUnroutable += o.packetsUnroutable;
-        packetsRefused += o.packetsRefused;
-        packetsRerouted += o.packetsRerouted;
-        clRequestsIssued += o.clRequestsIssued;
-        clRepliesMatched += o.clRepliesMatched;
-        clReqLatencySum += o.clReqLatencySum;
-        clWindowOccupancy += o.clWindowOccupancy;
-        clStallNodeCycles += o.clStallNodeCycles;
-        clSlotsPurged += o.clSlotsPurged;
-        clPhasesCompleted += o.clPhasesCompleted;
+        for (const Field &f : kFields)
+            this->*f.member += o.*f.member;
         return *this;
     }
 
@@ -109,37 +125,16 @@ struct SimCounters
     operator-(const SimCounters &a, const SimCounters &b)
     {
         SimCounters d;
-        d.bufferWrites = a.bufferWrites - b.bufferWrites;
-        d.bufferReads = a.bufferReads - b.bufferReads;
-        d.cbWrites = a.cbWrites - b.cbWrites;
-        d.cbReads = a.cbReads - b.cbReads;
-        d.crossbarTraversals =
-            a.crossbarTraversals - b.crossbarTraversals;
-        d.linkFlitHops = a.linkFlitHops - b.linkFlitHops;
-        d.flitsInjected = a.flitsInjected - b.flitsInjected;
-        d.flitsDelivered = a.flitsDelivered - b.flitsDelivered;
-        d.packetsInjected = a.packetsInjected - b.packetsInjected;
-        d.packetsDelivered = a.packetsDelivered - b.packetsDelivered;
-        d.faultEvents = a.faultEvents - b.faultEvents;
-        d.flitsDropped = a.flitsDropped - b.flitsDropped;
-        d.packetsDropped = a.packetsDropped - b.packetsDropped;
-        d.packetsUnroutable =
-            a.packetsUnroutable - b.packetsUnroutable;
-        d.packetsRefused = a.packetsRefused - b.packetsRefused;
-        d.packetsRerouted = a.packetsRerouted - b.packetsRerouted;
-        d.clRequestsIssued = a.clRequestsIssued - b.clRequestsIssued;
-        d.clRepliesMatched = a.clRepliesMatched - b.clRepliesMatched;
-        d.clReqLatencySum = a.clReqLatencySum - b.clReqLatencySum;
-        d.clWindowOccupancy =
-            a.clWindowOccupancy - b.clWindowOccupancy;
-        d.clStallNodeCycles =
-            a.clStallNodeCycles - b.clStallNodeCycles;
-        d.clSlotsPurged = a.clSlotsPurged - b.clSlotsPurged;
-        d.clPhasesCompleted =
-            a.clPhasesCompleted - b.clPhasesCompleted;
+        for (const Field &f : kFields)
+            d.*f.member = a.*f.member - b.*f.member;
         return d;
     }
 };
+
+static_assert(sizeof(SimCounters) ==
+                  std::size(SimCounters::kFields) *
+                      sizeof(std::uint64_t),
+              "every SimCounters field must be listed in kFields");
 
 } // namespace snoc
 

@@ -304,60 +304,10 @@ SimResult
 runShardedSimulation(ShardedNetwork &sn, const TrafficSource &source,
                      const SimConfig &cfg)
 {
-    Network &net = sn.network();
-    bool alive = true;
-    for (Cycle c = 0; c < cfg.warmupCycles && alive; ++c) {
-        alive = source(net, net.now());
+    RunSchedule run(sn.network(), source, cfg);
+    while (run.next())
         sn.step();
-    }
-    net.beginMeasurement();
-    SimCounters before = net.counters();
-    std::uint64_t offeredBefore = before.flitsInjected;
-
-    Cycle measured = 0;
-    for (Cycle c = 0; c < cfg.measureCycles && alive; ++c) {
-        alive = source(net, net.now());
-        sn.step();
-        ++measured;
-    }
-
-    std::uint64_t sourceBacklog = net.sourceQueueDepth();
-    // Window snapshot before drain, mirroring runSimulation(): drain
-    // activity must not leak into the energy counters.
-    SimCounters windowEnd = net.counters();
-
-    if (cfg.drain) {
-        Cycle waited = 0;
-        while ((alive || net.flitsInFlight() > 0 ||
-                net.sourceQueueDepth() > 0) &&
-               waited < cfg.drainCycleLimit) {
-            if (alive)
-                alive = source(net, net.now());
-            sn.step();
-            ++waited;
-        }
-    }
-
-    SimResult r;
-    r.cyclesRun = measured;
-    r.avgPacketLatency = net.packetLatency().mean();
-    r.avgNetworkLatency = net.networkLatency().mean();
-    r.p99PacketLatencyBound =
-        net.packetLatency().mean() + 3.0 * net.packetLatency().stddev();
-    r.avgHops = net.hopCount().mean();
-    r.packetsDelivered = net.packetLatency().count();
-    double nodes = static_cast<double>(net.topology().numNodes());
-    double cycles = std::max<double>(1.0, static_cast<double>(measured));
-    r.throughput =
-        static_cast<double>(net.flitsDeliveredInWindow()) /
-        (nodes * cycles);
-    std::uint64_t offered = windowEnd.flitsInjected - offeredBefore;
-    r.offeredLoad = static_cast<double>(offered) / (nodes * cycles);
-    r.stable = static_cast<double>(sourceBacklog) * 6.0 <
-               std::max<double>(1.0, static_cast<double>(offered));
-    r.counters = windowEnd - before;
-    applyClosedLoopStability(r, nodes, cycles);
-    return r;
+    return run.result();
 }
 
 } // namespace snoc

@@ -186,10 +186,10 @@ class ShardedNetwork
 };
 
 /**
- * Drive `source` against a sharded network with the warmup /
- * measurement / drain methodology of runSimulation(). Bitwise
- * identical to runSimulation() on the underlying Network for any
- * shard count.
+ * Drive `source` against a sharded network through the shared
+ * RunSchedule (sim/simulation.hh), stepping with
+ * ShardedNetwork::step. Bitwise identical to runSimulation() on the
+ * underlying Network for any shard count.
  */
 SimResult runShardedSimulation(ShardedNetwork &sn,
                                const TrafficSource &source,

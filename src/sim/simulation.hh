@@ -2,16 +2,13 @@
  * @file
  * Simulation driver: runs a traffic source against a Network with
  * the paper's warmup / measurement / drain methodology and reports
- * latency and throughput, plus load-sweep and saturation helpers
- * used by the benchmark harness.
+ * latency and throughput.
  */
 
 #ifndef SNOC_SIM_SIMULATION_HH
 #define SNOC_SIM_SIMULATION_HH
 
 #include <functional>
-#include <string>
-#include <vector>
 
 #include "sim/network.hh"
 
@@ -52,22 +49,73 @@ struct SimConfig
     bool operator==(const SimConfig &) const = default;
 };
 
+/**
+ * The warmup -> measure -> drain schedule of one run, written once
+ * for every engine. The serial, sharded and batched drivers differ
+ * only in how a cycle is stepped:
+ *
+ *     RunSchedule run(net, source, cfg);
+ *     while (run.next())
+ *         net.step();   // sn.step(), or this lane's bit in bn.step(mask)
+ *     SimResult r = run.result();
+ *
+ * Phases, with `alive` the source's last return value:
+ *
+ *     Warmup   while phaseCycle < warmupCycles and alive
+ *     Measure  while phaseCycle < measureCycles and alive
+ *     Drain    (cfg.drain only) while (alive, flits in flight or
+ *              source queues non-empty) and phaseCycle < drainCycleLimit
+ *     Done
+ *
+ * Entering Measure calls Network::beginMeasurement and snapshots the
+ * counters; leaving it snapshots them again, before any drain cycle,
+ * so drain activity never leaks into the window counters.
+ */
+class RunSchedule
+{
+  public:
+    /** `net` and `source` are held by reference and must outlive
+     *  the schedule. */
+    RunSchedule(Network &net, const TrafficSource &source,
+                const SimConfig &cfg);
+    RunSchedule(Network &, TrafficSource &&, const SimConfig &) = delete;
+
+    /**
+     * Settle the phase transitions due before the coming cycle and
+     * call the source for it (always in warmup and measure, only
+     * while alive in drain). Returns true when the caller must step
+     * the network exactly once before calling next() again; false
+     * once the run is over (and on every later call).
+     */
+    bool next();
+
+    /** The run's measurement-window result (call once next() has
+     *  returned false). */
+    SimResult result() const;
+
+  private:
+    enum class Phase { Warmup, Measure, Drain, Done };
+
+    /** Run the transitions; true when the current phase wants a
+     *  step this cycle. */
+    bool advance();
+
+    Network &net_;
+    const TrafficSource &source_;
+    SimConfig cfg_;
+    Phase phase_ = Phase::Warmup;
+    bool alive_ = true;
+    bool stepping_ = false; //!< the last next() requested a step
+    Cycle phaseCycle_ = 0;  //!< completed cycles in the current phase
+    Cycle measured_ = 0;
+    SimCounters before_;    //!< counters at measure start
+    SimCounters windowEnd_; //!< counters at measure end, pre-drain
+    std::uint64_t sourceBacklog_ = 0;
+};
+
 /** Drive `source` against `net` and measure. */
 SimResult runSimulation(Network &net, const TrafficSource &source,
                         const SimConfig &cfg);
-
-/**
- * Closed-loop stability override, shared by all three run drivers
- * (serial, batched, sharded) so `stable` is mode-invariant. Open-loop
- * instability shows up as source backlog; a closed-loop source never
- * grows backlog — it stalls instead. When the measurement window
- * recorded closed-loop activity, redefine stability as "less than
- * half of all node-cycles were spent with a full window". No-op (and
- * bit-identical behavior) when the window counters show no
- * closed-loop activity.
- */
-void applyClosedLoopStability(SimResult &r, double nodes,
-                              double cycles);
 
 /** One point of a load sweep. */
 struct LoadPoint
@@ -75,32 +123,6 @@ struct LoadPoint
     double load = 0.0;  //!< offered flits/node/cycle
     SimResult result;
 };
-
-/**
- * Sweep injection rates with a synthetic pattern.
- *
- * @param makeNet    network factory (fresh network per load point)
- * @param makeSource source factory for a given load
- * @param loads      offered loads in flits/node/cycle
- * @param cfg        per-run configuration
- * @param stopAtSaturation stop the sweep once a point saturates
- *        (latency > saturationFactor x the first point's latency)
- */
-std::vector<LoadPoint> sweepLoads(
-    const std::function<Network()> &makeNet,
-    const std::function<TrafficSource(double)> &makeSource,
-    const std::vector<double> &loads, const SimConfig &cfg,
-    bool stopAtSaturation = true, double saturationFactor = 6.0);
-
-/**
- * Estimate saturation throughput: the highest delivered
- * flits/node/cycle over a bisection search of the stable/unstable
- * load boundary (see exp/strategies.hh findSaturation).
- */
-double saturationThroughput(
-    const std::function<Network()> &makeNet,
-    const std::function<TrafficSource(double)> &makeSource,
-    const SimConfig &cfg);
 
 } // namespace snoc
 

@@ -112,7 +112,6 @@ makeTraceSource(std::vector<TraceEvent> events, Cycle memoryDelay)
         std::size_t next = 0;
         // Replies scheduled (cycle, src, dst), kept cycle-sorted.
         std::deque<TraceEvent> replies;
-        std::uint64_t outstanding = 0; // reads awaiting reply
         bool callbackInstalled = false;
     };
     auto st = std::make_shared<State>();
@@ -139,7 +138,6 @@ makeTraceSource(std::vector<TraceEvent> events, Cycle memoryDelay)
                 reply.dstNode = pkt.srcNode;
                 reply.msgClass = MsgClass::Reply;
                 st->replies.push_back(reply);
-                ++st->outstanding;
             });
         }
         while (st->next < st->events.size() &&
@@ -157,10 +155,8 @@ makeTraceSource(std::vector<TraceEvent> events, Cycle memoryDelay)
                             TraceEvent::sizeFor(e.msgClass),
                             e.msgClass);
             st->replies.pop_front();
-            --st->outstanding;
         }
-        return st->next < st->events.size() ||
-               !st->replies.empty() || st->outstanding > 0;
+        return st->next < st->events.size() || !st->replies.empty();
     };
 }
 

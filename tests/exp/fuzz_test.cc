@@ -32,12 +32,14 @@
 #include "exp/runner.hh"
 #include "exp/serialize.hh"
 #include "tests/support/sim_invariants.hh"
+#include "tests/support/sim_results.hh"
 #include "topo/topology_cache.hh"
 #include "traffic/synthetic.hh"
 
 namespace snoc {
 namespace {
 
+using testsupport::expectSameResult;
 using testsupport::SimInvariantChecker;
 
 /** Sample one random scenario (with a fault plan) from `rng`. */
@@ -141,47 +143,6 @@ describeFully(const Scenario &s)
     return oss.str();
 }
 
-void
-expectBitwiseEqual(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.avgPacketLatency, b.avgPacketLatency);
-    EXPECT_EQ(a.avgNetworkLatency, b.avgNetworkLatency);
-    EXPECT_EQ(a.avgHops, b.avgHops);
-    EXPECT_EQ(a.throughput, b.throughput);
-    EXPECT_EQ(a.offeredLoad, b.offeredLoad);
-    EXPECT_EQ(a.packetsDelivered, b.packetsDelivered);
-    EXPECT_EQ(a.stable, b.stable);
-    EXPECT_EQ(a.counters.bufferWrites, b.counters.bufferWrites);
-    EXPECT_EQ(a.counters.bufferReads, b.counters.bufferReads);
-    EXPECT_EQ(a.counters.cbWrites, b.counters.cbWrites);
-    EXPECT_EQ(a.counters.cbReads, b.counters.cbReads);
-    EXPECT_EQ(a.counters.crossbarTraversals,
-              b.counters.crossbarTraversals);
-    EXPECT_EQ(a.counters.linkFlitHops, b.counters.linkFlitHops);
-    EXPECT_EQ(a.counters.flitsInjected, b.counters.flitsInjected);
-    EXPECT_EQ(a.counters.flitsDelivered, b.counters.flitsDelivered);
-    EXPECT_EQ(a.counters.faultEvents, b.counters.faultEvents);
-    EXPECT_EQ(a.counters.flitsDropped, b.counters.flitsDropped);
-    EXPECT_EQ(a.counters.packetsDropped, b.counters.packetsDropped);
-    EXPECT_EQ(a.counters.packetsUnroutable,
-              b.counters.packetsUnroutable);
-    EXPECT_EQ(a.counters.packetsRefused, b.counters.packetsRefused);
-    EXPECT_EQ(a.counters.packetsRerouted,
-              b.counters.packetsRerouted);
-    EXPECT_EQ(a.counters.clRequestsIssued,
-              b.counters.clRequestsIssued);
-    EXPECT_EQ(a.counters.clRepliesMatched,
-              b.counters.clRepliesMatched);
-    EXPECT_EQ(a.counters.clReqLatencySum, b.counters.clReqLatencySum);
-    EXPECT_EQ(a.counters.clWindowOccupancy,
-              b.counters.clWindowOccupancy);
-    EXPECT_EQ(a.counters.clStallNodeCycles,
-              b.counters.clStallNodeCycles);
-    EXPECT_EQ(a.counters.clSlotsPurged, b.counters.clSlotsPurged);
-    EXPECT_EQ(a.counters.clPhasesCompleted,
-              b.counters.clPhasesCompleted);
-}
-
 TEST(ScenarioFuzz, SerialParallelEquivalenceAndInvariants)
 {
     const std::uint64_t baseSeed =
@@ -260,14 +221,14 @@ TEST(ScenarioFuzz, SerialParallelEquivalenceAndInvariants)
                      std::to_string(seeds[i]) +
                      " SNOC_FUZZ_ITERS=1 | " +
                      describeFully(scenarios[i]));
-        expectBitwiseEqual(serial[i].points[0].sim,
-                           parallel[i].points[0].sim);
-        expectBitwiseEqual(serial[i].points[0].sim,
-                           batched[i].points[0].sim);
-        expectBitwiseEqual(serial[i].points[0].sim,
-                           sharded2[i].points[0].sim);
-        expectBitwiseEqual(serial[i].points[0].sim,
-                           sharded4[i].points[0].sim);
+        expectSameResult(serial[i].points[0].sim,
+                         parallel[i].points[0].sim);
+        expectSameResult(serial[i].points[0].sim,
+                         batched[i].points[0].sim);
+        expectSameResult(serial[i].points[0].sim,
+                         sharded2[i].points[0].sim);
+        expectSameResult(serial[i].points[0].sim,
+                         sharded4[i].points[0].sim);
     }
 
     // 2. Invariant cleanliness of every sampled scenario.
@@ -449,8 +410,8 @@ TEST(ScenarioFuzz, ResumeFromRandomKillPointsIsBitwiseIdentical)
 
         ASSERT_EQ(resumed.size(), reference.size());
         for (std::size_t i = 0; i < reference.size(); ++i)
-            expectBitwiseEqual(reference[i].points[0].sim,
-                               resumed[i].points[0].sim);
+            expectSameResult(reference[i].points[0].sim,
+                             resumed[i].points[0].sim);
     }
     std::remove(path.c_str());
 }

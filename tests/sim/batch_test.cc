@@ -30,6 +30,7 @@
 
 #include "common/env.hh"
 #include "sim/batch.hh"
+#include "tests/support/sim_results.hh"
 #include "topo/table4.hh"
 
 namespace snoc {
@@ -208,24 +209,7 @@ expectEqual(const Fingerprint &a, const Fingerprint &b,
     EXPECT_EQ(a.deliveryHash, b.deliveryHash) << what;
     EXPECT_EQ(a.packets, b.packets) << what;
     EXPECT_EQ(a.drained, b.drained) << what;
-    const SimCounters &x = a.counters;
-    const SimCounters &y = b.counters;
-    EXPECT_EQ(x.bufferWrites, y.bufferWrites) << what;
-    EXPECT_EQ(x.bufferReads, y.bufferReads) << what;
-    EXPECT_EQ(x.cbWrites, y.cbWrites) << what;
-    EXPECT_EQ(x.cbReads, y.cbReads) << what;
-    EXPECT_EQ(x.crossbarTraversals, y.crossbarTraversals) << what;
-    EXPECT_EQ(x.linkFlitHops, y.linkFlitHops) << what;
-    EXPECT_EQ(x.flitsInjected, y.flitsInjected) << what;
-    EXPECT_EQ(x.flitsDelivered, y.flitsDelivered) << what;
-    EXPECT_EQ(x.packetsInjected, y.packetsInjected) << what;
-    EXPECT_EQ(x.packetsDelivered, y.packetsDelivered) << what;
-    EXPECT_EQ(x.faultEvents, y.faultEvents) << what;
-    EXPECT_EQ(x.flitsDropped, y.flitsDropped) << what;
-    EXPECT_EQ(x.packetsDropped, y.packetsDropped) << what;
-    EXPECT_EQ(x.packetsUnroutable, y.packetsUnroutable) << what;
-    EXPECT_EQ(x.packetsRefused, y.packetsRefused) << what;
-    EXPECT_EQ(x.packetsRerouted, y.packetsRerouted) << what;
+    testsupport::expectSameCounters(a.counters, b.counters, what);
 }
 
 // --- lane 0 vs the pre-refactor goldens -------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/strategies.hh"
 #include "sim/simulation.hh"
 #include "topo/table4.hh"
 #include "traffic/synthetic.hh"
@@ -28,6 +29,17 @@ mkSource(Network &net, double load)
     SyntheticConfig sc;
     sc.load = load;
     return makeSyntheticSource(pat, sc);
+}
+
+/** Evaluate each load on a fresh network and a fresh source. */
+template <class MakeNet, class MakeSource>
+PointEvaluator
+freshRuns(MakeNet makeNet, MakeSource makeSource, SimConfig cfg)
+{
+    return [=](double load) {
+        Network net = makeNet();
+        return runSimulation(net, makeSource(load), cfg);
+    };
 }
 
 TEST(Simulation, MeasuresOnlyWindow)
@@ -71,7 +83,8 @@ TEST(Simulation, SweepStopsAtSaturation)
     cfg.warmupCycles = 300;
     cfg.measureCycles = 800;
     std::vector<double> loads = {0.01, 0.05, 0.2, 0.9, 0.95, 1.0};
-    auto pts = sweepLoads(makeNet, makeSource, loads, cfg, true, 6.0);
+    auto pts = runLoadSweep(freshRuns(makeNet, makeSource, cfg), loads,
+                            true, 6.0);
     // The sweep must cut off before running every overload point.
     EXPECT_GE(pts.size(), 2u);
     EXPECT_LT(pts.size(), loads.size());
@@ -104,7 +117,9 @@ TEST(Simulation, SaturationThroughputIsPositiveAndBounded)
     SimConfig cfg;
     cfg.warmupCycles = 300;
     cfg.measureCycles = 800;
-    double sat = saturationThroughput(makeNet, makeSource, cfg);
+    double sat =
+        findSaturation(freshRuns(makeNet, makeSource, cfg))
+            .bestThroughput;
     EXPECT_GT(sat, 0.05);
     EXPECT_LE(sat, 1.2);
 }
@@ -131,7 +146,9 @@ TEST(Simulation, SaturationAlwaysStableNetworkNeedsOneProbe)
     SimConfig cfg;
     cfg.warmupCycles = 200;
     cfg.measureCycles = 600;
-    double sat = saturationThroughput(makeNet, makeSource, cfg);
+    double sat =
+        findSaturation(freshRuns(makeNet, makeSource, cfg))
+            .bestThroughput;
     EXPECT_EQ(evaluations, 1) << "stable hiLoad probe must end the "
                                  "search immediately";
     EXPECT_GT(sat, 0.0);
@@ -170,7 +187,9 @@ TEST(Simulation, SaturationUnstableAtFloorReportsFloorProbes)
     SimConfig cfg;
     cfg.warmupCycles = 150;
     cfg.measureCycles = 400;
-    double sat = saturationThroughput(makeNet, makeSource, cfg);
+    double sat =
+        findSaturation(freshRuns(makeNet, makeSource, cfg))
+            .bestThroughput;
     EXPECT_EQ(evaluations, 2) << "hi then lo, both unstable — the "
                                  "bracket is empty";
     // Delivered throughput under flood is whatever the network

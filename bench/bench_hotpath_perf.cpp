@@ -9,10 +9,11 @@
  * flit-hops/sec (link work actually performed), delivered
  * flits/sec, and the mean active-router fraction (how much of the
  * network the worklist actually visits per cycle). Only the step()
- * calls are timed: the Bernoulli source draw is O(nodes) per cycle
- * in every mode, so including it would flood the simulator-core
- * signal exactly in the sparse regime the sweep optimizations
- * target.
+ * calls are timed: the Bernoulli source draw is one inlined RNG step
+ * per node per cycle in every mode (BM_SyntheticSourceDraw: about
+ * 4 ns per node on a 4-vCPU Xeon), so including it would flood the
+ * simulator-core signal exactly in the sparse regime the sweep
+ * optimizations target.
  *
  * Each unbatched reference row is followed by a batched
  * co-simulation grid (src/sim/batch.hh) at N = 1/4/8 lanes: N

@@ -18,12 +18,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -34,24 +28,12 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-std::uint64_t
 Rng::nextUint(std::uint64_t bound)
 {
     SNOC_ASSERT(bound > 0, "nextUint bound must be positive");
-    // Lemire-style rejection to avoid modulo bias.
+    // Modulo with rejection, as in OpenBSD's arc4random_uniform: drop
+    // draws below 2^64 mod bound so the accepted range is a whole
+    // multiple of bound and the modulo carries no bias.
     std::uint64_t threshold = (~bound + 1) % bound;
     for (;;) {
         std::uint64_t r = next();
@@ -66,18 +48,6 @@ Rng::nextInt(std::int64_t lo, std::int64_t hi)
     SNOC_ASSERT(lo <= hi, "nextInt range is empty");
     std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(nextUint(span));
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 std::uint64_t

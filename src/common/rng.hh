@@ -28,7 +28,19 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x5eed5eed5eed5eedULL);
 
     /** Raw 64 random bits. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /** Satisfy UniformRandomBitGenerator so <random> adapters work. */
     std::uint64_t operator()() { return next(); }
@@ -41,11 +53,15 @@ class Rng
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t nextInt(std::int64_t lo, std::int64_t hi);
 
-    /** Uniform double in [0, 1). */
-    double nextDouble();
+    /** Uniform double in [0, 1): the top 53 bits of one next(). */
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
-    /** Bernoulli trial with success probability p. */
-    bool nextBool(double p);
+    /** Bernoulli trial with success probability p (one next()). */
+    bool nextBool(double p) { return nextDouble() < p; }
 
     /** Fisher-Yates shuffle of a vector. */
     template <typename T>
@@ -62,6 +78,12 @@ class Rng
     std::uint64_t nextGeometric(double p);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> state_;
 };
 

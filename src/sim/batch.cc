@@ -66,10 +66,6 @@ BatchedNetwork::BatchedNetwork(std::shared_ptr<const NocTopology> topo,
     visit_.assign(laneWords, 0);
     wheel_.assign(static_cast<std::size_t>(wheelSize_) * laneWords, 0);
     srcPending_.assign(static_cast<std::size_t>(numNodes_), 0);
-    nodeRouter_.resize(static_cast<std::size_t>(numNodes_));
-    for (int node = 0; node < numNodes_; ++node)
-        nodeRouter_[static_cast<std::size_t>(node)] =
-            topo->routerOfNode(node);
 
     // Channel geometry is identical across lanes (same build over the
     // same topology): copy the sink tables from lane 0 and invert
@@ -227,8 +223,7 @@ BatchedNetwork::step(std::uint64_t laneMask)
             int l = popLowest(pend);
             Network &n = *lanes_[static_cast<std::size_t>(l)];
             if (n.pumpNode(node, *n.counters_) > 0)
-                setQueued(l,
-                          nodeRouter_[static_cast<std::size_t>(node)]);
+                setQueued(l, n.topology().routerOfNode(node));
             if (n.sourceQueues_[static_cast<std::size_t>(node)].empty())
                 srcPending_[static_cast<std::size_t>(node)] &=
                     ~(std::uint64_t{1} << l);

@@ -163,7 +163,6 @@ class BatchedNetwork
     std::vector<std::uint64_t> wheel_;
     // Per node: lanes whose source queue may be non-empty.
     std::vector<std::uint64_t> srcPending_;
-    std::vector<int> nodeRouter_; //!< cached topo routerOfNode
 
     // Shared channel geometry (identical across lanes, copied from
     // lane 0): which router a channel's flits / credits wake, and a

@@ -25,6 +25,9 @@ NocTopology::NocTopology(std::string name, Graph routers,
     for (std::size_t r = 0; r < nodesPerRouter_.size(); ++r) {
         SNOC_ASSERT(nodesPerRouter_[r] >= 0, "negative concentration");
         firstNode_[r + 1] = firstNode_[r] + nodesPerRouter_[r];
+        nodeRouter_.insert(nodeRouter_.end(),
+                           static_cast<std::size_t>(nodesPerRouter_[r]),
+                           static_cast<int>(r));
     }
     numNodes_ = firstNode_.back();
     SNOC_ASSERT(numNodes_ > 0, "topology has no nodes");
@@ -58,16 +61,6 @@ NocTopology::routerRadix() const
         best = std::max(best, routers_.degree(r) + concentrationOf(r));
     }
     return best;
-}
-
-int
-NocTopology::routerOfNode(int node) const
-{
-    SNOC_ASSERT(node >= 0 && node < numNodes_, "node out of range");
-    // Binary search the prefix sums.
-    auto it = std::upper_bound(firstNode_.begin(), firstNode_.end(),
-                               node);
-    return static_cast<int>(it - firstNode_.begin()) - 1;
 }
 
 int

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "core/layout.hh"
 #include "graph/graph.hh"
 
@@ -84,8 +85,13 @@ class NocTopology
     /** Router radix k = k' + p for the widest router. */
     int routerRadix() const;
 
-    /** The router a node is attached to. */
-    int routerOfNode(int node) const;
+    /** The router a node is attached to (an O(1) table lookup). */
+    int
+    routerOfNode(int node) const
+    {
+        SNOC_ASSERT(node >= 0 && node < numNodes_, "node out of range");
+        return nodeRouter_[static_cast<std::size_t>(node)];
+    }
 
     /** The nodes attached to a router: [first, first + count). */
     int firstNodeOfRouter(int router) const;
@@ -106,6 +112,7 @@ class NocTopology
     Placement placement_;
     std::vector<int> nodesPerRouter_;
     std::vector<int> firstNode_;
+    std::vector<int> nodeRouter_; //!< router of each node
     int numNodes_;
     double cycleTimeNs_;
     RoutingHint routingHint_;

@@ -16,9 +16,6 @@ makeSyntheticSource(std::shared_ptr<TrafficPattern> pattern,
     return [pattern, rng, cfg, pGen](Network &net, Cycle) -> bool {
         int n = net.topology().numNodes();
         for (int src = 0; src < n; ++src) {
-            if (net.topology().concentrationOf(
-                    net.topology().routerOfNode(src)) == 0)
-                continue;
             if (rng->nextBool(pGen)) {
                 int dst = pattern->destination(src, *rng);
                 net.offerPacket(src, dst, cfg.packetSizeFlits);

@@ -4,6 +4,12 @@
  * generates a packet with probability load / packetSize per cycle,
  * so the offered load is `load` flits/node/cycle (Section 5.1 fixes
  * the synthetic packet size to 6 flits).
+ *
+ * Stream contract: each call draws exactly one Rng::nextBool (one
+ * next()) per node, in ascending node order, at every load including
+ * 0; a node that fires then draws its destination from the same
+ * stream. Every golden depends on this order, so a change to it (a
+ * geometric-gap source, say) must ship as a new named source.
  */
 
 #ifndef SNOC_TRAFFIC_SYNTHETIC_HH

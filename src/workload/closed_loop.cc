@@ -110,9 +110,6 @@ ClosedLoopState::pump(Network &net, Cycle now)
     SimCounters &c = net.workloadCounters();
     int n = net.topology().numNodes();
     for (int src = 0; src < n; ++src) {
-        if (net.topology().concentrationOf(
-                net.topology().routerOfNode(src)) == 0)
-            continue;
         c.clWindowOccupancy +=
             static_cast<std::uint64_t>(outstanding_[src]);
         if (outstanding_[src] >= spec_.window) {

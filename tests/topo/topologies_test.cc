@@ -118,12 +118,27 @@ TEST(Topologies, FoldedClosIsIndirect)
 
 TEST(Topologies, NodeRouterMappingRoundTrip)
 {
-    NocTopology t = makeNamedTopology("sn_subgr_200");
-    for (int n = 0; n < t.numNodes(); ++n) {
-        int r = t.routerOfNode(n);
-        int first = t.firstNodeOfRouter(r);
-        EXPECT_GE(n, first);
-        EXPECT_LT(n, first + t.concentrationOf(r));
+    // Over every registered topology (clos_200's zero-node spines are
+    // the interesting case): routerOfNode agrees with the prefix-sum
+    // definition, the last router r with firstNodeOfRouter(r) <= n,
+    // and never lands on a router without nodes.
+    for (const auto &id : namedTopologyIds()) {
+        NocTopology t = makeNamedTopology(id);
+        std::vector<int> firstNode;
+        for (int r = 0; r < t.numRouters(); ++r)
+            firstNode.push_back(t.firstNodeOfRouter(r));
+        firstNode.push_back(t.numNodes());
+        for (int n = 0; n < t.numNodes(); ++n) {
+            int r = t.routerOfNode(n);
+            int expect = static_cast<int>(
+                std::upper_bound(firstNode.begin(), firstNode.end(), n) -
+                firstNode.begin()) - 1;
+            ASSERT_EQ(r, expect) << id << " node " << n;
+            ASSERT_GT(t.concentrationOf(r), 0) << id << " node " << n;
+            int first = t.firstNodeOfRouter(r);
+            EXPECT_GE(n, first) << id;
+            EXPECT_LT(n, first + t.concentrationOf(r)) << id;
+        }
     }
 }
 

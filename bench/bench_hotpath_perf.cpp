@@ -17,12 +17,12 @@
  *
  * Each unbatched reference row is followed by a batched
  * co-simulation grid (src/sim/batch.hh) at N = 1/4/8 lanes: N
- * same-topology scenarios (per-lane traffic and routing seeds)
- * advancing through one BatchedNetwork sweep. Batched rows report
- * *aggregate* lane-cycles/sec plus the per-lane rate, and
- * speedup_vs_unbatched = aggregate / the matching unbatched row —
- * i.e. the wall-clock win over running the same N scenarios
- * sequentially.
+ * same-topology scenarios (per-lane traffic and routing seeds) on
+ * one BatchedNetwork, run one lane after another as
+ * runBatchedSimulation runs them. Batched rows report *aggregate*
+ * lane-cycles/sec plus the per-lane rate, and speedup_vs_unbatched =
+ * aggregate / the matching unbatched row — i.e. the wall-clock win
+ * over running the same N scenarios as unbatched Networks.
  *
  * A final space-sharded grid (src/sim/shard.hh) steps ONE large
  * topology (sn_subgr_1296, the biggest committed instance) with
@@ -142,10 +142,13 @@ measure(const std::string &topoId, RoutingMode mode, double load)
 }
 
 /**
- * N same-topology lanes through one BatchedNetwork sweep. Lanes get
- * distinct traffic and routing seeds (the campaign case: same
- * structure, different scenario state), so the per-lane work matches
- * the unbatched reference above while the sweep overhead is shared.
+ * N same-topology lanes on one BatchedNetwork. Lanes get distinct
+ * traffic and routing seeds (the campaign case: same structure,
+ * different scenario state), so the per-lane work matches the
+ * unbatched reference above. Each lane runs its warmup and timed
+ * window under its own one-bit mask before the next lane starts —
+ * runBatchedSimulation's order — and only the step() calls are
+ * timed.
  */
 PerfPoint
 measureBatched(const std::string &topoId, RoutingMode mode,
@@ -174,40 +177,31 @@ measureBatched(const std::string &topoId, RoutingMode mode,
     PerfPoint p;
     Cycle warmup = fastMode() ? 300 : 2000;
     p.cycles = fastMode() ? 1500 : 20000;
-    const std::uint64_t mask = bn.allLanes();
 
-    auto offerAll = [&] {
-        for (int l = 0; l < lanes; ++l)
-            srcs[static_cast<std::size_t>(l)](bn.lane(l),
-                                              bn.lane(l).now());
-    };
-    for (Cycle c = 0; c < warmup; ++c) {
-        offerAll();
-        bn.step(mask);
-    }
-
-    std::vector<SimCounters> before;
-    for (int l = 0; l < lanes; ++l)
-        before.push_back(bn.lane(l).counters());
-    std::uint64_t visitSum = 0;
+    std::uint64_t visitSum = 0, hops = 0, delivered = 0;
     double wall = 0.0;
-    for (Cycle c = 0; c < p.cycles; ++c) {
-        offerAll();
-        auto t0 = std::chrono::steady_clock::now();
-        bn.step(mask);
-        auto t1 = std::chrono::steady_clock::now();
-        wall += std::chrono::duration<double>(t1 - t0).count();
-        visitSum += bn.lastVisited();
-    }
-    wall = wall > 0.0 ? wall : 1e-9;
-
-    std::uint64_t hops = 0, delivered = 0;
     for (int l = 0; l < lanes; ++l) {
-        SimCounters delta = bn.lane(l).counters() -
-                            before[static_cast<std::size_t>(l)];
+        Network &net = bn.lane(l);
+        TrafficSource &src = srcs[static_cast<std::size_t>(l)];
+        const std::uint64_t mask = std::uint64_t{1} << l;
+        for (Cycle c = 0; c < warmup; ++c) {
+            src(net, net.now());
+            bn.step(mask);
+        }
+        SimCounters before = net.counters();
+        for (Cycle c = 0; c < p.cycles; ++c) {
+            src(net, net.now());
+            auto t0 = std::chrono::steady_clock::now();
+            bn.step(mask);
+            auto t1 = std::chrono::steady_clock::now();
+            wall += std::chrono::duration<double>(t1 - t0).count();
+            visitSum += bn.lastVisited();
+        }
+        SimCounters delta = net.counters() - before;
         hops += delta.linkFlitHops;
         delivered += delta.flitsDelivered;
     }
+    wall = wall > 0.0 ? wall : 1e-9;
 
     double laneCycles =
         static_cast<double>(p.cycles) * static_cast<double>(lanes);
@@ -356,12 +350,12 @@ main()
                                  RoutingMode::UgalL,
                                  RoutingMode::UgalG};
     // Three regimes: 0.10 saturates the sweep (nearly every router
-    // is active, so batching is bounded by raw per-router cost and
-    // the lockstep working set), 0.01 is moderately sparse, and
-    // 0.001 is the near-idle regime — latency points at the bottom
-    // of every load sweep — where the batch's exact wake calendar
-    // skips the per-cycle O(routers + channels) worklist scan the
-    // unbatched loop always pays.
+    // is active, so batching is bounded by raw per-router cost),
+    // 0.01 is moderately sparse, and 0.001 is the near-idle regime —
+    // latency points at the bottom of every load sweep — where the
+    // batch's exact wake calendar skips the per-cycle
+    // O(routers + channels) worklist scan the unbatched loop always
+    // pays.
     const double loads[] = {0.10, 0.01, 0.001};
 
     const int laneGrid[] = {1, 4, 8};

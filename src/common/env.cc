@@ -22,10 +22,11 @@ envKnobs()
          "`snoc run` writes its default run manifest"},
         {kEnvExpBatch, "8", "off, 0, 1, or lane count 2-64",
          "same-topology co-simulation in the experiment engine: "
-         "compatible plan jobs share one batched router sweep "
-         "(results stay bitwise identical to unbatched runs); "
-         "off or 0 disables, 1 enables the default 8 lanes, 2-64 "
-         "caps lanes per batch (RunnerOptions::batchLanes overrides)"},
+         "compatible plan jobs share one topology build and run one "
+         "after another as lanes of one batched network (results "
+         "stay bitwise identical to unbatched runs); off or 0 "
+         "disables, 1 enables the default 8 lanes, 2-64 caps lanes "
+         "per batch (RunnerOptions::batchLanes overrides)"},
         {kEnvExpIsolate, "off", "off, fork",
          "process-isolated scenario execution: each evaluation runs "
          "in a forked child and returns its result over a pipe, so a "

@@ -559,6 +559,17 @@ struct BatchUnit
     Scenario scenario;
 };
 
+/** A successfully evaluated point (energy is attached later, by
+ *  applyEnergyMetrics). */
+ScenarioResult
+okPoint(const Scenario &s, const SimResult &r)
+{
+    ScenarioResult p;
+    p.scenario = s;
+    p.sim = r;
+    return p;
+}
+
 /**
  * A job is batchable when its evaluation points are known up front
  * and independent: Single jobs, and Sweeps that evaluate every load
@@ -625,7 +636,7 @@ runBatchChunk(const std::vector<const BatchUnit *> &chunk,
     std::vector<SimResult> res = runBatchedSimulation(bn, lanes);
     for (std::size_t l = 0; l < chunk.size(); ++l) {
         const BatchUnit &u = *chunk[l];
-        results[u.job].points[u.point] = {u.scenario, res[l]};
+        results[u.job].points[u.point] = okPoint(u.scenario, res[l]);
     }
 }
 
@@ -657,7 +668,7 @@ ExperimentRunner::runBatched(const ExperimentPlan &plan,
         if (std::optional<SimResult> hit =
                 opts_.store->lookup(resultKey(s))) {
             ++job.cacheHits;
-            slot = {s, *hit};
+            slot = okPoint(s, *hit);
             return true;
         }
         ++job.cacheMisses;
@@ -758,8 +769,8 @@ ExperimentRunner::runBatched(const ExperimentPlan &plan,
             // runJob measured its own wall time already.
             noteJob(t.fallbackJob, 0.0);
         } else {
-            // Lanes share one cycle loop; attribute the chunk's wall
-            // time evenly across its units.
+            // One task runs the whole chunk; attribute its wall time
+            // evenly across its units.
             double share = chunkMs / static_cast<double>(
                                          t.chunk.size());
             for (const BatchUnit *u : t.chunk)
@@ -786,7 +797,8 @@ ExperimentRunner::runBatched(const ExperimentPlan &plan,
                 // One lane amortizes nothing; take the plain path.
                 const BatchUnit *u = t.chunk[0];
                 SimResult r = runScenario(u->scenario);
-                results[u->job].points[u->point] = {u->scenario, r};
+                results[u->job].points[u->point] =
+                    okPoint(u->scenario, r);
                 if (opts_.store)
                     opts_.store->put(resultKey(u->scenario),
                                      u->scenario, r);

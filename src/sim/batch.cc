@@ -10,7 +10,7 @@ namespace snoc {
 
 namespace {
 
-/** Iterate the set bits of a lane mask, lowest first. */
+/** Iterate the set bits of a mask word, lowest first. */
 inline int
 popLowest(std::uint64_t &m)
 {
@@ -49,6 +49,7 @@ BatchedNetwork::BatchedNetwork(std::shared_ptr<const NocTopology> topo,
     numRouters_ = static_cast<int>(n0.routers_.size());
     numNodes_ = topo->numNodes();
     words_ = (numRouters_ + 63) / 64;
+    nodeWords_ = (numNodes_ + 63) / 64;
 
     // The wheel must cover the farthest-future arrival a visit can
     // schedule: flits land at now + latency + (pipelineCycles - 1),
@@ -65,7 +66,9 @@ BatchedNetwork::BatchedNetwork(std::shared_ptr<const NocTopology> topo,
     queued_.assign(laneWords, 0);
     visit_.assign(laneWords, 0);
     wheel_.assign(static_cast<std::size_t>(wheelSize_) * laneWords, 0);
-    srcPending_.assign(static_cast<std::size_t>(numNodes_), 0);
+    srcPending_.assign(static_cast<std::size_t>(lanes) *
+                           static_cast<std::size_t>(nodeWords_),
+                       0);
 
     // Channel geometry is identical across lanes (same build over the
     // same topology): copy the sink tables from lane 0 and invert
@@ -122,6 +125,13 @@ BatchedNetwork::wheelSlot(int slot, int l)
                static_cast<std::size_t>(words_);
 }
 
+std::uint64_t *
+BatchedNetwork::srcPendingLane(int l)
+{
+    return srcPending_.data() + static_cast<std::size_t>(l) *
+                                    static_cast<std::size_t>(nodeWords_);
+}
+
 void
 BatchedNetwork::setQueued(int laneIdx, int router)
 {
@@ -153,9 +163,9 @@ BatchedNetwork::resyncLane(int laneIdx)
     // A fault event rewrote the lane wholesale: buffers were purged,
     // source queues filtered, and reclaim credits pushed into
     // channels at fresh arrival times. Recount this lane's queued
-    // bits and source-pending mask from scratch and reschedule a wake
-    // from every channel front (stale wakes for purged traffic remain
-    // and fire as harmless no-op visits).
+    // and source-pending bits from scratch and reschedule a wake from
+    // every channel front (stale wakes for purged traffic remain and
+    // fire as harmless no-op visits).
     Network &n = *lanes_[static_cast<std::size_t>(laneIdx)];
     Cycle now = n.now_;
     std::uint64_t *q = queuedLane(laneIdx);
@@ -163,13 +173,11 @@ BatchedNetwork::resyncLane(int laneIdx)
     for (int r = 0; r < numRouters_; ++r)
         if (n.routers_[static_cast<std::size_t>(r)]->bufferedFlits() > 0)
             setQueued(laneIdx, r);
-    std::uint64_t bit = std::uint64_t{1} << laneIdx;
-    for (int node = 0; node < numNodes_; ++node) {
-        if (n.sourceQueues_[static_cast<std::size_t>(node)].empty())
-            srcPending_[static_cast<std::size_t>(node)] &= ~bit;
-        else
-            srcPending_[static_cast<std::size_t>(node)] |= bit;
-    }
+    std::uint64_t *pend = srcPendingLane(laneIdx);
+    std::fill(pend, pend + nodeWords_, 0);
+    for (int node = 0; node < numNodes_; ++node)
+        if (!n.sourceQueues_[static_cast<std::size_t>(node)].empty())
+            pend[node >> 6] |= std::uint64_t{1} << (node & 63);
     for (std::size_t c = 0; c < n.channels_.size(); ++c) {
         const FlitChannel &ch = *n.channels_[c];
         if (ch.flitsInFlight() > 0)
@@ -215,18 +223,22 @@ BatchedNetwork::step(std::uint64_t laneMask)
         }
     }
 
-    // -- injection pump: only (node, lane) pairs with queued offers --
-    for (int node = 0; node < numNodes_; ++node) {
-        std::uint64_t pend =
-            srcPending_[static_cast<std::size_t>(node)] & laneMask;
-        while (pend) {
-            int l = popLowest(pend);
-            Network &n = *lanes_[static_cast<std::size_t>(l)];
-            if (n.pumpNode(node, *n.counters_) > 0)
-                setQueued(l, n.topology().routerOfNode(node));
-            if (n.sourceQueues_[static_cast<std::size_t>(node)].empty())
-                srcPending_[static_cast<std::size_t>(node)] &=
-                    ~(std::uint64_t{1} << l);
+    // -- injection pump: only nodes with queued offers, ascending
+    //    within each lane (Network::pumpInjection's order) --
+    for (std::uint64_t m = laneMask; m;) {
+        int l = popLowest(m);
+        Network &n = *lanes_[static_cast<std::size_t>(l)];
+        std::uint64_t *pend = srcPendingLane(l);
+        for (int w = 0; w < nodeWords_; ++w) {
+            for (std::uint64_t uw = pend[w]; uw;) {
+                int bit = popLowest(uw);
+                int node = (w << 6) + bit;
+                if (n.pumpNode(node, *n.counters_) > 0)
+                    setQueued(l, n.topology().routerOfNode(node));
+                if (n.sourceQueues_[static_cast<std::size_t>(node)]
+                        .empty())
+                    pend[w] &= ~(std::uint64_t{1} << bit);
+            }
         }
     }
 
@@ -244,12 +256,11 @@ BatchedNetwork::step(std::uint64_t laneMask)
     }
 
     // Lanes never interact (all sharing is read-only structure), so
-    // the sweep is lane-major: each lane runs its complete cycle —
-    // collect every visited router in ascending order, then step,
-    // then drain, exactly Network::step()'s phase structure — before
-    // the next lane starts. That keeps one lane's mutable state hot
-    // in cache per phase (router-major interleaving thrashes at 8
-    // lanes) and is trivially bitwise identical per lane. Cross-
+    // a multi-lane mask runs each lane's complete cycle — collect
+    // every visited router in ascending order, then step, then
+    // drain, exactly Network::step()'s phase structure — before the
+    // next lane starts, which is trivially bitwise identical per
+    // lane. (runBatchedSimulation passes one lane at a time.) Cross-
     // router reads inside route() (UGAL occupancy probes) see the
     // same intermediate state as an unbatched run.
     lastVisited_ = 0;
@@ -265,7 +276,7 @@ BatchedNetwork::step(std::uint64_t laneMask)
                 int r = (w << 6) + std::countr_zero(uw);
                 uw &= uw - 1;
                 n.routers_[static_cast<std::size_t>(r)]
-                    ->collectArrivalsLean(now);
+                    ->collectArrivals(now);
                 ++lastVisited_;
             }
         }
@@ -368,10 +379,9 @@ BatchedNetwork::auditInvariants(std::string &err) const
                 return false;
             }
         }
-        std::uint64_t bit = std::uint64_t{1} << l;
+        const std::uint64_t *pendBits = self->srcPendingLane(l);
         for (int node = 0; node < numNodes_; ++node) {
-            bool pend =
-                (srcPending_[static_cast<std::size_t>(node)] & bit) != 0;
+            bool pend = (pendBits[node >> 6] >> (node & 63)) & 1;
             bool nonEmpty =
                 !n.sourceQueues_[static_cast<std::size_t>(node)].empty();
             if (pend != nonEmpty) {
@@ -431,25 +441,19 @@ runBatchedSimulation(BatchedNetwork &bn,
 {
     SNOC_ASSERT(static_cast<int>(lanes.size()) == bn.numLanes(),
                 "one schedule per lane");
-    std::vector<RunSchedule> runs;
-    runs.reserve(lanes.size());
+    // Lanes never interact, so each runs its whole schedule before
+    // the next starts: one lane's routers, channels and queues stay
+    // cache-resident instead of every lane's state streaming through
+    // the cache on every cycle.
+    std::vector<SimResult> results;
+    results.reserve(lanes.size());
     for (int l = 0; l < bn.numLanes(); ++l) {
         const BatchLaneSim &lane = lanes[static_cast<std::size_t>(l)];
-        runs.emplace_back(bn.lane(l), lane.source, lane.cfg);
-    }
-    // Finished lanes drop out of the mask and freeze.
-    for (;;) {
-        std::uint64_t mask = 0;
-        for (int l = 0; l < bn.numLanes(); ++l)
-            if (runs[static_cast<std::size_t>(l)].next())
-                mask |= std::uint64_t{1} << l;
-        if (mask == 0)
-            break;
-        bn.step(mask);
-    }
-    std::vector<SimResult> results;
-    for (const RunSchedule &run : runs)
+        RunSchedule run(bn.lane(l), lane.source, lane.cfg);
+        while (run.next())
+            bn.step(std::uint64_t{1} << l);
         results.push_back(run.result());
+    }
     return results;
 }
 

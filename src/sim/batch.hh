@@ -1,7 +1,7 @@
 /**
  * @file
- * Batched same-topology co-simulation: N scenario lanes advance in
- * lockstep through one sweep.
+ * Batched same-topology co-simulation: N scenario lanes share one
+ * topology build and one stepping engine, and run one after another.
  *
  * Figure-class campaigns re-simulate the *same* topology dozens of
  * times with only per-run state differing (load, traffic seed, fault
@@ -14,37 +14,46 @@
  * would hold it.
  *
  * The batch layer replaces Network::step()'s per-cycle skeleton with
- * structure-of-arrays control state indexed [lane][router-word]:
+ * structure-of-arrays control state, lane-major:
  *
- *  - a `queued` bitset per lane (router has buffered flits), kept
- *    incrementally from injection and post-visit recounts;
+ *  - a `queued` router bitset per lane (router has buffered flits),
+ *    kept incrementally from injection and post-visit recounts;
  *  - a wake-calendar wheel of per-lane router bitsets indexed by
  *    arrival cycle mod W: every channel push/drain reschedules the
  *    sink at the ring front's exact arrival, replacing the legacy
  *    worklist's scan of every channel every cycle (which wakes a
  *    router on every cycle a flit is merely *in flight* — pure waste
  *    on multi-cycle links);
- *  - a per-node lane mask of non-empty source queues, so the
- *    injection pump touches only (node, lane) pairs with queued
- *    packets and amortizes the node -> router/slot lookups across
- *    lanes.
+ *  - a pending-source node bitset per lane: offerPacket sets the
+ *    node's bit, and the injection pump walks only set bits, in
+ *    ascending node order, clearing a bit once its queue empties. A
+ *    step therefore costs O(node words + pending nodes), not an
+ *    O(nodes) scan.
  *
- * Per cycle the visit set of a lane is queued | wake-due; the sweep
- * is lane-major (lanes never interact, so each lane runs its full
- * cycle with its mutable state hot in cache) and drives each lane's
- * routers through the same collect / step / drain phases as
- * Network::step(), in the same ascending-router order within each
- * lane. Visits the legacy worklist would have made beyond this set
- * are provable no-ops (round-robin pointers derive from `now`;
- * collect pops only arrived traffic; the allocators act only on
- * buffered flits), so every lane is *bitwise identical* — delivery
- * stream, SimCounters, RNG draws — to the same scenario stepped
- * unbatched (enforced by tests/sim/batch_test.cc goldens and the
- * fuzz harness).
+ * Per cycle the visit set of a lane is queued | wake-due, and the
+ * lane's routers go through the same collect / step / drain phases
+ * as Network::step(), in the same ascending-router order. Visits the
+ * legacy worklist would have made beyond this set are provable
+ * no-ops (round-robin pointers derive from `now`; collect pops only
+ * arrived traffic; the allocators act only on buffered flits), so
+ * every lane is *bitwise identical* — delivery stream, SimCounters,
+ * RNG draws — to the same scenario stepped unbatched (enforced by
+ * tests/sim/batch_test.cc goldens and the fuzz harness).
  *
- * Lane drop-out: step() takes a lane mask, so finished lanes freeze
- * while the rest continue (heterogeneous warmup/measure/drain
- * schedules in one batch).
+ * Lane order: runBatchedSimulation runs each lane's whole warmup /
+ * measure / drain schedule under a one-bit mask before the next lane
+ * starts. Stepping every live lane on every cycle instead (lockstep)
+ * walks all lanes' routers, channels and queues each cycle; at 8
+ * lanes of a dense sweep that working set does not fit a core's L2
+ * (2 MiB), and the batch ran slower than the same points unbatched:
+ * 9.7 s against 6.2 s for the bench/e2e synth_dense plan at one
+ * thread. One lane at a time keeps a lane's state cache-resident and
+ * runs that plan in 6.5 s (docs/ARCHITECTURE.md has the
+ * measurements).
+ *
+ * step() still takes a lane mask, so tests interleave lanes to check
+ * that they stay isolated: all masked lanes must be at the same
+ * local time, and a lane that leaves the mask freezes.
  */
 
 #ifndef SNOC_SIM_BATCH_HH
@@ -60,7 +69,7 @@
 
 namespace snoc {
 
-/** N same-structure Network lanes stepping through one sweep. */
+/** N same-structure Network lanes over one shared topology. */
 class BatchedNetwork
 {
   public:
@@ -145,8 +154,10 @@ class BatchedNetwork
     void
     noteOffer(int laneIdx, int srcNode)
     {
-        srcPending_[static_cast<std::size_t>(srcNode)] |=
-            std::uint64_t{1} << laneIdx;
+        srcPending_[static_cast<std::size_t>(laneIdx) *
+                        static_cast<std::size_t>(nodeWords_) +
+                    static_cast<std::size_t>(srcNode >> 6)] |=
+            std::uint64_t{1} << (srcNode & 63);
     }
 
   private:
@@ -154,6 +165,7 @@ class BatchedNetwork
     int numRouters_ = 0;
     int numNodes_ = 0;
     int words_ = 0;     //!< 64-bit words per router bitset
+    int nodeWords_ = 0; //!< 64-bit words per node bitset
     int wheelSize_ = 0; //!< covers the max channel+pipeline horizon
 
     // SoA control state, lane-major ([lane * words_ + w]).
@@ -161,7 +173,8 @@ class BatchedNetwork
     std::vector<std::uint64_t> visit_;  //!< this cycle's visit set
     // Wake wheel: [(slot * lanes + lane) * words_ + w].
     std::vector<std::uint64_t> wheel_;
-    // Per node: lanes whose source queue may be non-empty.
+    // Nodes whose source queue is non-empty, lane-major
+    // ([lane * nodeWords_ + w]).
     std::vector<std::uint64_t> srcPending_;
 
     // Shared channel geometry (identical across lanes, copied from
@@ -178,11 +191,13 @@ class BatchedNetwork
     std::uint64_t *queuedLane(int l);
     std::uint64_t *visitLane(int l);
     std::uint64_t *wheelSlot(int slot, int l);
+    std::uint64_t *srcPendingLane(int l);
     void scheduleWake(int laneIdx, int router, Cycle at, Cycle now);
     void setQueued(int laneIdx, int router);
     /** Rare path after a fault event fired in a lane: recount the
-     *  lane's queued bits and reschedule wakes from every channel
-     *  front (the purge drops flits and pushes reclaim credits). */
+     *  lane's queued and source-pending bits and reschedule wakes
+     *  from every channel front (the purge drops flits, filters
+     *  source queues and pushes reclaim credits). */
     void resyncLane(int laneIdx);
 };
 
@@ -194,10 +209,10 @@ struct BatchLaneSim
 };
 
 /**
- * Run one RunSchedule per lane (sim/simulation.hh): each lane walks
- * its own warmup / measure / (optional) drain schedule, and every
- * lane still running advances through one BatchedNetwork::step per
- * cycle. Lane k's SimResult is bitwise identical to
+ * Run one RunSchedule per lane (sim/simulation.hh), lane 0 first:
+ * each lane walks its whole warmup / measure / (optional) drain
+ * schedule through BatchedNetwork::step with its one-bit mask before
+ * the next lane starts. Lane k's SimResult is bitwise identical to
  * runSimulation(laneNetwork, source, cfg).
  */
 std::vector<SimResult>

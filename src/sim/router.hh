@@ -110,17 +110,10 @@ class Router
     /** Enqueue one flit of a packet being injected. @pre space. */
     void injectFlit(int localIndex, Flit flit);
 
-    /** Phase 1: absorb arriving flits and credits. */
+    /** Phase 1: absorb arriving flits and credits. Each channel's
+     *  ring front is checked first, so a port with nothing arrived
+     *  costs one branch instead of a drain call. */
     void collectArrivals(Cycle now);
-
-    /**
-     * Phase 1, lean variant: identical effect to collectArrivals()
-     * — same flits/credits absorbed in the same order with the same
-     * counter updates — but prechecks each channel's ring front so
-     * ports with nothing arrived cost one branch instead of two
-     * drain calls. Used by the batched sweep.
-     */
-    void collectArrivalsLean(Cycle now);
 
     /** Phase 2: route, manage the CB, allocate the switch, send. */
     void step(Cycle now);

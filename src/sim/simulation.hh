@@ -56,7 +56,7 @@ struct SimConfig
  *
  *     RunSchedule run(net, source, cfg);
  *     while (run.next())
- *         net.step();   // sn.step(), or this lane's bit in bn.step(mask)
+ *         net.step();   // sn.step(), or bn.step(1 << lane) per lane
  *     SimResult r = run.result();
  *
  * Phases, with `alive` the source's last return value:

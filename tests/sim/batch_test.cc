@@ -17,7 +17,14 @@
  *  - a lane's fingerprint is invariant under permutation of the lane
  *    order, and a seeded fuzz sweep (SNOC_FUZZ_SEED /
  *    SNOC_FUZZ_ITERS) cross-checks random batches against serial
- *    replays with the batch bookkeeping audited mid-run.
+ *    replays.
+ *
+ * Every case runs in both step orders — lockstep (every live lane in
+ * each step(), the check that interleaved lanes stay isolated) and
+ * lane-serial (runBatchedSimulation's order: one lane's whole
+ * schedule under a one-bit mask, then the next, so lanes sit at
+ * different local times) — with the batch bookkeeping audited
+ * mid-run.
  */
 
 #include <gtest/gtest.h>
@@ -148,13 +155,33 @@ runStandalone(const std::string &topoId, const std::string &routerCfg,
     return fp;
 }
 
-/** Run a batch where lane l follows schedule seeds[l]; audits the
- *  batch bookkeeping every `auditEvery` cycles when nonzero. */
+/** How runBatch advances its lanes through BatchedNetwork::step. */
+enum class StepOrder
+{
+    Lockstep,   //!< every live lane in each step()
+    LaneSerial, //!< lane 0's whole schedule, then lane 1's, ...
+};
+
+const StepOrder kStepOrders[] = {StepOrder::Lockstep,
+                                 StepOrder::LaneSerial};
+
+const char *
+orderName(StepOrder order)
+{
+    return order == StepOrder::Lockstep ? "lockstep" : "lane-serial";
+}
+
+constexpr int kAuditEvery = 100;
+
+/** Run a batch where lane l follows schedule seeds[l] (runStandalone's
+ *  offer + drain schedule) in the given step order, auditing the
+ *  batch bookkeeping every `auditEvery` steps. */
 std::vector<Fingerprint>
 runBatch(const std::string &topoId, const std::string &routerCfg,
          RoutingMode mode,
          const std::vector<BatchedNetwork::LaneSpec> &specs,
-         const std::vector<std::uint64_t> &seeds, int auditEvery = 0)
+         const std::vector<std::uint64_t> &seeds, StepOrder order,
+         int auditEvery = kAuditEvery)
 {
     auto topo =
         std::make_shared<const NocTopology>(makeNamedTopology(topoId));
@@ -168,32 +195,43 @@ runBatch(const std::string &topoId, const std::string &routerCfg,
                 hashDelivery(fps[static_cast<std::size_t>(l)], p);
             });
     std::vector<std::uint64_t> streams = seeds;
-    auto audit = [&](int cycle) {
-        if (auditEvery == 0 || cycle % auditEvery != 0)
+    int steps = 0;
+    auto step = [&](std::uint64_t mask) {
+        bn.step(mask);
+        if (++steps % auditEvery != 0)
             return;
         std::string err;
         ASSERT_TRUE(bn.auditInvariants(err))
-            << "cycle " << cycle << ": " << err;
+            << orderName(order) << " step " << steps << ": " << err;
     };
-    int cycle = 0;
-    for (int c = 0; c < kOfferCycles; ++c, ++cycle) {
+    // The offer + drain schedule, over the lanes in `lanes` together;
+    // a lane leaves the mask once drained.
+    auto runLanes = [&](std::uint64_t lanes) {
+        for (int c = 0; c < kOfferCycles; ++c) {
+            for (int l = 0; l < n; ++l)
+                if ((lanes >> l) & 1)
+                    offerCycle(bn.lane(l),
+                               streams[static_cast<std::size_t>(l)]);
+            step(lanes);
+        }
+        for (int c = 0; c < kDrainLimit; ++c) {
+            std::uint64_t mask = 0;
+            for (int l = 0; l < n; ++l)
+                if (((lanes >> l) & 1) &&
+                    bn.lane(l).flitsInFlight() +
+                            bn.lane(l).sourceQueueDepth() >
+                        0)
+                    mask |= std::uint64_t{1} << l;
+            if (mask == 0)
+                break;
+            step(mask);
+        }
+    };
+    if (order == StepOrder::Lockstep)
+        runLanes(bn.allLanes());
+    else
         for (int l = 0; l < n; ++l)
-            offerCycle(bn.lane(l), streams[static_cast<std::size_t>(l)]);
-        bn.step(bn.allLanes());
-        audit(cycle);
-    }
-    for (int c = 0; c < kDrainLimit; ++c, ++cycle) {
-        std::uint64_t mask = 0;
-        for (int l = 0; l < n; ++l)
-            if (bn.lane(l).flitsInFlight() +
-                    bn.lane(l).sourceQueueDepth() >
-                0)
-                mask |= std::uint64_t{1} << l;
-        if (mask == 0)
-            break;
-        bn.step(mask);
-        audit(cycle);
-    }
+            runLanes(std::uint64_t{1} << l);
     std::string err;
     EXPECT_TRUE(bn.auditInvariants(err)) << err;
     for (int l = 0; l < n; ++l)
@@ -254,18 +292,24 @@ TEST_P(BatchGolden, Lane0MatchesUnbatchedGolden)
     std::vector<std::uint64_t> seeds;
     for (int l = 0; l < 4; ++l)
         seeds.push_back(scheduleSeed(g.topoId, g.mode, l));
-    std::vector<Fingerprint> fps =
-        runBatch(g.topoId, g.routerCfg, g.mode, specs, seeds);
-    EXPECT_TRUE(fps[0].drained) << g.topoId;
-    EXPECT_EQ(fps[0].deliveryHash, g.deliveryHash) << g.topoId;
-    EXPECT_EQ(fps[0].packets, g.packets) << g.topoId;
-    // The other lanes must each equal their standalone replay.
+    std::vector<Fingerprint> ref;
     for (int l = 1; l < 4; ++l)
-        expectEqual(fps[static_cast<std::size_t>(l)],
-                    runStandalone(g.topoId, g.routerCfg, g.mode,
-                                  seeds[static_cast<std::size_t>(l)]),
-                    std::string(g.topoId) + " lane " +
-                        std::to_string(l));
+        ref.push_back(runStandalone(g.topoId, g.routerCfg, g.mode,
+                                    seeds[static_cast<std::size_t>(l)]));
+    for (StepOrder order : kStepOrders) {
+        SCOPED_TRACE(orderName(order));
+        std::vector<Fingerprint> fps =
+            runBatch(g.topoId, g.routerCfg, g.mode, specs, seeds, order);
+        EXPECT_TRUE(fps[0].drained) << g.topoId;
+        EXPECT_EQ(fps[0].deliveryHash, g.deliveryHash) << g.topoId;
+        EXPECT_EQ(fps[0].packets, g.packets) << g.topoId;
+        // The other lanes must each equal their standalone replay.
+        for (int l = 1; l < 4; ++l)
+            expectEqual(fps[static_cast<std::size_t>(l)],
+                        ref[static_cast<std::size_t>(l - 1)],
+                        std::string(g.topoId) + " lane " +
+                            std::to_string(l));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -294,7 +338,8 @@ TEST(BatchPermutation, LaneOrderDoesNotChangeAnyLane)
     for (int l = 0; l < 3; ++l)
         seeds.push_back(scheduleSeed(topoId, mode, l));
 
-    auto runOrder = [&](const std::vector<int> &order) {
+    auto runOrder = [&](const std::vector<int> &order,
+                        StepOrder stepOrder) {
         std::vector<BatchedNetwork::LaneSpec> specs(order.size());
         std::vector<std::uint64_t> s;
         for (std::size_t i = 0; i < order.size(); ++i) {
@@ -302,14 +347,17 @@ TEST(BatchPermutation, LaneOrderDoesNotChangeAnyLane)
                 routingSeeds[static_cast<std::size_t>(order[i])];
             s.push_back(seeds[static_cast<std::size_t>(order[i])]);
         }
-        return runBatch(topoId, "EB-Var", mode, specs, s);
+        return runBatch(topoId, "EB-Var", mode, specs, s, stepOrder);
     };
 
-    std::vector<Fingerprint> fwd = runOrder({0, 1, 2});
-    std::vector<Fingerprint> perm = runOrder({2, 0, 1});
-    expectEqual(fwd[0], perm[1], "scenario 0 moved lane");
-    expectEqual(fwd[1], perm[2], "scenario 1 moved lane");
-    expectEqual(fwd[2], perm[0], "scenario 2 moved lane");
+    for (StepOrder order : kStepOrders) {
+        SCOPED_TRACE(orderName(order));
+        std::vector<Fingerprint> fwd = runOrder({0, 1, 2}, order);
+        std::vector<Fingerprint> perm = runOrder({2, 0, 1}, order);
+        expectEqual(fwd[0], perm[1], "scenario 0 moved lane");
+        expectEqual(fwd[1], perm[2], "scenario 1 moved lane");
+        expectEqual(fwd[2], perm[0], "scenario 2 moved lane");
+    }
 }
 
 // --- per-lane fault plans ----------------------------------------------------
@@ -332,20 +380,26 @@ TEST(BatchFaults, PerLanePlansPurgeCoherently)
     for (int l = 0; l < 4; ++l)
         seeds.push_back(scheduleSeed(topoId, mode, l));
 
-    std::vector<Fingerprint> fps = runBatch(
-        topoId, "EB-Var", mode, specs, seeds, /*auditEvery=*/100);
-
-    // The fault-free lane runs the golden schedule: it must still hit
-    // the golden hash — its neighbors' purges may not leak into it.
-    EXPECT_EQ(fps[0].deliveryHash, kGoldens[0].deliveryHash);
-    EXPECT_EQ(fps[0].packets, kGoldens[0].packets);
+    std::vector<Fingerprint> ref;
     for (int l = 0; l < 4; ++l)
-        expectEqual(
-            fps[static_cast<std::size_t>(l)],
+        ref.push_back(
             runStandalone(topoId, "EB-Var", mode,
                           seeds[static_cast<std::size_t>(l)], 7,
-                          specs[static_cast<std::size_t>(l)].faults),
-            "faulted lane " + std::to_string(l));
+                          specs[static_cast<std::size_t>(l)].faults));
+    for (StepOrder order : kStepOrders) {
+        SCOPED_TRACE(orderName(order));
+        std::vector<Fingerprint> fps =
+            runBatch(topoId, "EB-Var", mode, specs, seeds, order);
+        // The fault-free lane runs the golden schedule: it must still
+        // hit the golden hash — its neighbors' purges may not leak
+        // into it.
+        EXPECT_EQ(fps[0].deliveryHash, kGoldens[0].deliveryHash);
+        EXPECT_EQ(fps[0].packets, kGoldens[0].packets);
+        for (int l = 0; l < 4; ++l)
+            expectEqual(fps[static_cast<std::size_t>(l)],
+                        ref[static_cast<std::size_t>(l)],
+                        "faulted lane " + std::to_string(l));
+    }
 }
 
 // --- seeded fuzz: random batches vs serial replays ---------------------------
@@ -385,18 +439,23 @@ TEST(BatchFuzz, RandomBatchesMatchSerialReplays)
                         200 + (rl >> 16 & 511), rl >> 32);
             seeds.push_back(splitmix(s));
         }
-        std::vector<Fingerprint> fps =
-            runBatch(topoId, routerCfg, mode, specs, seeds,
-                     /*auditEvery=*/250);
+        std::vector<Fingerprint> ref;
         for (int l = 0; l < lanes; ++l)
-            expectEqual(
-                fps[static_cast<std::size_t>(l)],
-                runStandalone(
-                    topoId, routerCfg, mode,
-                    seeds[static_cast<std::size_t>(l)],
-                    specs[static_cast<std::size_t>(l)].routingSeed,
-                    specs[static_cast<std::size_t>(l)].faults),
-                "fuzz lane " + std::to_string(l));
+            ref.push_back(runStandalone(
+                topoId, routerCfg, mode,
+                seeds[static_cast<std::size_t>(l)],
+                specs[static_cast<std::size_t>(l)].routingSeed,
+                specs[static_cast<std::size_t>(l)].faults));
+        for (StepOrder order : kStepOrders) {
+            SCOPED_TRACE(orderName(order));
+            std::vector<Fingerprint> fps =
+                runBatch(topoId, routerCfg, mode, specs, seeds, order,
+                         /*auditEvery=*/250);
+            for (int l = 0; l < lanes; ++l)
+                expectEqual(fps[static_cast<std::size_t>(l)],
+                            ref[static_cast<std::size_t>(l)],
+                            "fuzz lane " + std::to_string(l));
+        }
     }
 }
 

@@ -201,10 +201,12 @@ TEST(FlatShortestPaths, MatchesBfsAndTieBreaksLowestId)
             // One hop closer, and the lowest-id such neighbor.
             EXPECT_EQ(d[static_cast<std::size_t>(nh)],
                       d[static_cast<std::size_t>(src)] - 1);
-            for (int w : g.neighbors(src))
+            for (int w : g.neighbors(src)) {
                 if (d[static_cast<std::size_t>(w)] ==
-                    d[static_cast<std::size_t>(src)] - 1)
+                    d[static_cast<std::size_t>(src)] - 1) {
                     EXPECT_LE(nh, w);
+                }
+            }
         }
     }
 }

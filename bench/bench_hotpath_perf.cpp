@@ -7,8 +7,10 @@
  * under random Bernoulli traffic, then times a fixed window of
  * Network::step() calls and reports simulated cycles/sec,
  * flit-hops/sec (link work actually performed), delivered
- * flits/sec, and the mean active-router fraction (how much of the
- * network the worklist actually visits per cycle). Only the step()
+ * flits/sec, and the mean active-router fraction (the share of
+ * routers a step visits: routers holding buffered flits plus those
+ * the wake calendar has an arrival due for; the sharded rows count
+ * their per-shard worklists instead). Only the step()
  * calls are timed: the Bernoulli source draw is one inlined RNG step
  * per node per cycle in every mode (BM_SyntheticSourceDraw: about
  * 4 ns per node on a 4-vCPU Xeon), so including it would flood the
@@ -19,8 +21,11 @@
  * co-simulation grid (src/sim/batch.hh) at N = 1/4/8 lanes: N
  * same-topology scenarios (per-lane traffic and routing seeds) on
  * one BatchedNetwork, run one lane after another as
- * runBatchedSimulation runs them. Batched rows report *aggregate*
- * lane-cycles/sec plus the per-lane rate, and speedup_vs_unbatched =
+ * runBatchedSimulation runs them. A lane steps through
+ * Network::step() itself, so these rows differ from the unbatched
+ * one only by the shared set-up and the lanes' cache footprint.
+ * Batched rows report *aggregate* lane-cycles/sec plus the per-lane
+ * rate, and speedup_vs_unbatched =
  * aggregate / the matching unbatched row — i.e. the wall-clock win
  * over running the same N scenarios as unbatched Networks.
  *
@@ -133,8 +138,8 @@ measure(const std::string &topoId, RoutingMode mode, double load)
         static_cast<double>(activeSum) /
         (static_cast<double>(p.cycles) *
          static_cast<double>(net.topology().numRouters()));
-    // Wall time per router actually visited by the worklist: the
-    // per-router sweep cost, independent of idle-skip savings.
+    // Wall time per router the step visited: the per-router sweep
+    // cost, independent of idle-skip savings.
     p.nsPerCycleRouter =
         wall * 1e9 / std::max<double>(1.0,
                                       static_cast<double>(activeSum));
@@ -353,9 +358,8 @@ main()
     // is active, so batching is bounded by raw per-router cost),
     // 0.01 is moderately sparse, and 0.001 is the near-idle regime —
     // latency points at the bottom of every load sweep — where the
-    // batch's exact wake calendar skips the per-cycle
-    // O(routers + channels) worklist scan the unbatched loop always
-    // pays.
+    // wake calendar keeps a step at O(words + visited routers)
+    // instead of a scan of every router and channel.
     const double loads[] = {0.10, 0.01, 0.001};
 
     const int laneGrid[] = {1, 4, 8};

@@ -9,40 +9,24 @@ FlitChannel::FlitChannel(int latency) : latency_(latency)
     SNOC_ASSERT(latency_ >= 1, "channel latency must be >= 1");
 }
 
-void
+Cycle
 FlitChannel::pushFlit(Flit flit, Cycle now, int extraDelay)
 {
     Cycle arrival = now + static_cast<Cycle>(latency_ + extraDelay);
     SNOC_ASSERT(flits_.empty() || flits_.back().at <= arrival,
                 "non-monotonic flit arrival");
     flits_.push_back(TimedFlit{arrival, flit});
+    return arrival;
 }
 
-void
-FlitChannel::popArrivedFlits(Cycle now, std::vector<Flit> &out)
-{
-    while (!flits_.empty() && flits_.front().at <= now) {
-        out.push_back(flits_.front().flit);
-        flits_.pop_front();
-    }
-}
-
-void
+Cycle
 FlitChannel::pushCredit(int vc, Cycle now)
 {
     Cycle arrival = now + static_cast<Cycle>(latency_);
     SNOC_ASSERT(credits_.empty() || credits_.back().at <= arrival,
                 "non-monotonic credit arrival");
     credits_.push_back(TimedCredit{arrival, vc});
-}
-
-void
-FlitChannel::popArrivedCredits(Cycle now, std::vector<int> &out)
-{
-    while (!credits_.empty() && credits_.front().at <= now) {
-        out.push_back(credits_.front().vc);
-        credits_.pop_front();
-    }
+    return arrival;
 }
 
 void

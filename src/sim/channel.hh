@@ -43,18 +43,35 @@ class FlitChannel
 
     int latency() const { return latency_; }
 
-    /** Send a flit; it arrives at now + latency (+ extraDelay). */
-    void pushFlit(Flit flit, Cycle now, int extraDelay = 0);
+    /** Send a flit; it arrives at now + latency (+ extraDelay), the
+     *  cycle returned. */
+    Cycle pushFlit(Flit flit, Cycle now, int extraDelay = 0);
 
     /** Append all flits that have arrived by `now` to `out`
-     *  (ordered); `out` is the caller's reusable scratch vector. */
-    void popArrivedFlits(Cycle now, std::vector<Flit> &out);
+     *  (ordered); `out` is the caller's reusable scratch vector.
+     *  Inline: the sharded loop calls it on every port it visits. */
+    void
+    popArrivedFlits(Cycle now, std::vector<Flit> &out)
+    {
+        while (!flits_.empty() && flits_.front().at <= now) {
+            out.push_back(flits_.front().flit);
+            flits_.pop_front();
+        }
+    }
 
-    /** Return a credit for `vc`; arrives upstream at now + latency. */
-    void pushCredit(int vc, Cycle now);
+    /** Return a credit for `vc`; it arrives upstream at now +
+     *  latency, the cycle returned. */
+    Cycle pushCredit(int vc, Cycle now);
 
     /** Append all credits that have arrived by `now` to `out`. */
-    void popArrivedCredits(Cycle now, std::vector<int> &out);
+    void
+    popArrivedCredits(Cycle now, std::vector<int> &out)
+    {
+        while (!credits_.empty() && credits_.front().at <= now) {
+            out.push_back(credits_.front().vc);
+            credits_.pop_front();
+        }
+    }
 
     /** Number of flits currently in flight. */
     std::size_t flitsInFlight() const { return flits_.size(); }
@@ -62,26 +79,11 @@ class FlitChannel
     /** Number of credits currently in flight. */
     std::size_t creditsInFlight() const { return credits_.size(); }
 
-    /** True when at least one flit has arrived by `now` (front of the
-     *  ring, since arrivals are pushed in nondecreasing time). */
-    bool
-    hasArrivedFlits(Cycle now) const
-    {
-        return !flits_.empty() && flits_.front().at <= now;
-    }
+    /** Arrival cycle of the i-th oldest in-flight flit. */
+    Cycle flitArrival(std::size_t i) const { return flits_[i].at; }
 
-    /** True when at least one credit has arrived by `now`. */
-    bool
-    hasArrivedCredits(Cycle now) const
-    {
-        return !credits_.empty() && credits_.front().at <= now;
-    }
-
-    /** Arrival cycle of the oldest in-flight flit. @pre non-empty. */
-    Cycle frontFlitArrival() const { return flits_.front().at; }
-
-    /** Arrival cycle of the oldest in-flight credit. @pre non-empty. */
-    Cycle frontCreditArrival() const { return credits_.front().at; }
+    /** Arrival cycle of the i-th oldest in-flight credit. */
+    Cycle creditArrival(std::size_t i) const { return credits_[i].at; }
 
     /** Pre-size the flit ring (attaching router knows the bound). */
     void reserveFlits(std::size_t n) { flits_.reserve(n); }

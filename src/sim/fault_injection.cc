@@ -451,15 +451,6 @@ Network::auditInvariants(std::string &err) const
         return false;
     };
 
-    // Locate each channel's downstream input (router, port).
-    std::unordered_map<const FlitChannel *, std::pair<int, int>>
-        inputAt;
-    for (std::size_t r = 0; r < routers_.size(); ++r)
-        for (std::size_t p = 0; p < routers_[r]->inputs_.size(); ++p)
-            if (routers_[r]->inputs_[p].in)
-                inputAt[routers_[r]->inputs_[p].in] = {
-                    static_cast<int>(r), static_cast<int>(p)};
-
     for (std::size_t r = 0; r < routers_.size(); ++r) {
         const Router &rt = *routers_[r];
 
@@ -624,17 +615,16 @@ Network::auditInvariants(std::string &err) const
             const FlitChannel *ch = op.out;
             int depth = routerCfg_.inputBufferDepth(ch->latency()) +
                         routerCfg_.elasticBonus(ch->latency());
-            auto it = inputAt.find(ch);
-            if (it == inputAt.end()) {
+            const Router &down =
+                *routers_[static_cast<std::size_t>(op.neighbor)];
+            const Router::InputPort &dip =
+                down.inputs_[static_cast<std::size_t>(op.peerPort)];
+            if (dip.in != ch || dip.peerPort != p) {
                 oss << "router " << rt.id_ << " port " << p
-                    << ": channel has no downstream input";
+                    << ": peer port " << op.peerPort << " of router "
+                    << op.neighbor << " is not this channel's input";
                 return fail(oss.str());
             }
-            const Router &down =
-                *routers_[static_cast<std::size_t>(it->second.first)];
-            const Router::InputPort &dip =
-                down.inputs_[static_cast<std::size_t>(
-                    it->second.second)];
             for (std::size_t vc = 0; vc < op.vcs.size(); ++vc) {
                 int credits = op.vcs[vc].credits;
                 if (credits < 0 || credits > depth) {
@@ -660,7 +650,72 @@ Network::auditInvariants(std::string &err) const
             }
         }
     }
+    // A ShardedNetwork drives the routers with the calendar detached;
+    // it is rebuilt from scratch when the shards let go.
+    if (calendarAttached_ && !auditCalendar(err))
+        return false;
     err.clear();
+    return true;
+}
+
+bool
+Network::auditCalendar(std::string &err) const
+{
+    std::ostringstream oss;
+    WakeCalendar &cal = *cal_;
+    for (std::size_t r = 0; r < routers_.size(); ++r) {
+        const Router &rt = *routers_[r];
+        int id = static_cast<int>(r);
+        if (WakeCalendar::test(cal.queued(), id) !=
+            (rt.bufferedFlits_ > 0)) {
+            oss << "calendar: router " << id << " queued bit "
+                << WakeCalendar::test(cal.queued(), id)
+                << " but bufferedFlits " << rt.bufferedFlits_;
+            err = oss.str();
+            return false;
+        }
+        // Every in-flight flit (credit) must have its router bit and
+        // its input (output) port bit at its arrival slot.
+        auto marked = [&](int port, Cycle at, int side) {
+            at = std::max(at, now_);
+            return WakeCalendar::test(cal.wheel(at), id) &&
+                   WakeCalendar::test(cal.ports(at, id) + side, port);
+        };
+        for (int p = 0; p < rt.numNetPorts_; ++p) {
+            const FlitChannel &in =
+                *rt.inputs_[static_cast<std::size_t>(p)].in;
+            for (std::size_t i = 0; i < in.flitsInFlight(); ++i) {
+                if (!marked(p, in.flitArrival(i), 0)) {
+                    oss << "calendar: flit arriving at cycle "
+                        << in.flitArrival(i) << " on router " << id
+                        << " input port " << p << " has no wake";
+                    err = oss.str();
+                    return false;
+                }
+            }
+            const FlitChannel &out =
+                *rt.outputs_[static_cast<std::size_t>(p)].out;
+            for (std::size_t i = 0; i < out.creditsInFlight(); ++i) {
+                if (!marked(p, out.creditArrival(i), cal.portWords())) {
+                    oss << "calendar: credit arriving at cycle "
+                        << out.creditArrival(i) << " on router " << id
+                        << " output port " << p << " has no wake";
+                    err = oss.str();
+                    return false;
+                }
+            }
+        }
+    }
+    for (int node = 0; node < topo_->numNodes(); ++node) {
+        bool pending = WakeCalendar::test(cal.pending(), node);
+        const auto &q = sourceQueues_[static_cast<std::size_t>(node)];
+        if (pending != !q.empty()) {
+            oss << "calendar: node " << node << " pending bit "
+                << pending << " but source queue depth " << q.size();
+            err = oss.str();
+            return false;
+        }
+    }
     return true;
 }
 

@@ -1,11 +1,29 @@
 #include "sim/network.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
-#include "sim/batch.hh"
 
 namespace snoc {
+
+WakeCalendar::WakeCalendar(int routers, int portWords, int nodes,
+                           int horizon)
+    : routers_(static_cast<std::size_t>(routers)),
+      routerWords_((routers + 63) / 64), portWords_(portWords),
+      nodeWords_((nodes + 63) / 64)
+{
+    // Pushes land 1..horizon cycles ahead, so with more slots than
+    // the horizon the slot being visited is never written meanwhile.
+    std::size_t slots =
+        std::bit_ceil(static_cast<std::size_t>(horizon) + 1);
+    mask_ = static_cast<Cycle>(slots - 1);
+    portsAt_ = slots * rw();
+    queuedAt_ = portsAt_ + slots * routers_ * 2 * pw();
+    bits_.assign(queuedAt_ + 2 * rw() +
+                     static_cast<std::size_t>(nodeWords_),
+                 0);
+}
 
 Network::Network(const NocTopology &topo, const RouterConfig &router,
                  const LinkConfig &link, RoutingMode mode,
@@ -41,6 +59,10 @@ Network::build(std::uint64_t seed, RoutingMode mode,
                const FaultPlan &faults,
                std::shared_ptr<const ShortestPaths> sharedPaths)
 {
+    // A flit sent at cycle t must land at t + 1 or later: the
+    // calendar has already visited cycle t's arrivals.
+    SNOC_ASSERT(routerCfg_.pipelineCycles >= 1,
+                "router pipeline must be >= 1 cycle");
     routing_ = makeRouting(*topo_, mode, seed, faults.active());
     paths_ = sharedPaths
                  ? std::move(sharedPaths)
@@ -59,12 +81,16 @@ Network::build(std::uint64_t seed, RoutingMode mode,
     // channelTo[u][k]: channel from u along its k-th adjacency entry.
     std::vector<std::vector<FlitChannel *>> channelTo(
         static_cast<std::size_t>(g.numVertices()));
+    int maxLatency = 1;
+    int maxNetPorts = 0;
     for (int u = 0; u < g.numVertices(); ++u) {
         const auto &nb = g.neighbors(u);
         channelTo[static_cast<std::size_t>(u)].resize(nb.size());
+        maxNetPorts = std::max(maxNetPorts, static_cast<int>(nb.size()));
         for (std::size_t k = 0; k < nb.size(); ++k) {
             int lat = linkLatencyFor(
                 topo_->placement().distance(u, nb[k]));
+            maxLatency = std::max(maxLatency, lat);
             channels_.push_back(std::make_unique<FlitChannel>(lat));
             channelTo[static_cast<std::size_t>(u)][k] =
                 channels_.back().get();
@@ -102,7 +128,7 @@ Network::build(std::uint64_t seed, RoutingMode mode,
             FlitChannel *in = channelTo[static_cast<std::size_t>(v)]
                                        [static_cast<std::size_t>(found)];
             routers_[static_cast<std::size_t>(u)]->addNetworkPort(
-                out, in, v, topo_->placement().distance(u, v));
+                out, in, v, found, topo_->placement().distance(u, v));
         }
     }
 
@@ -122,11 +148,50 @@ Network::build(std::uint64_t seed, RoutingMode mode,
 
     deliveredScratch_.reserve(
         static_cast<std::size_t>(topo_->numNodes()));
-    routerActive_.resize(routers_.size());
-    activeScratch_.reserve(static_cast<std::size_t>(g.numVertices()));
+    cal_ = std::make_unique<WakeCalendar>(
+        g.numVertices(), std::max((maxNetPorts + 63) / 64, 1),
+        topo_->numNodes(), maxLatency + routerCfg_.pipelineCycles - 1);
+    attachCalendar(true);
 
     if (faults.active())
         armFaults(faults);
+}
+
+void
+Network::attachCalendar(bool attach)
+{
+    calendarAttached_ = attach;
+    for (auto &r : routers_)
+        r->cal_ = attach ? cal_.get() : nullptr;
+    if (attach)
+        rebuildCalendar();
+}
+
+void
+Network::rebuildCalendar()
+{
+    WakeCalendar &cal = *cal_;
+    cal.clear();
+    for (std::size_t r = 0; r < routers_.size(); ++r) {
+        const Router &rt = *routers_[r];
+        int id = static_cast<int>(r);
+        if (rt.bufferedFlits() > 0)
+            WakeCalendar::set(cal.queued(), id);
+        for (int p = 0; p < rt.numNetPorts_; ++p) {
+            const FlitChannel &in =
+                *rt.inputs_[static_cast<std::size_t>(p)].in;
+            for (std::size_t i = 0; i < in.flitsInFlight(); ++i)
+                cal.markFlit(id, p, std::max(in.flitArrival(i), now_));
+            const FlitChannel &out =
+                *rt.outputs_[static_cast<std::size_t>(p)].out;
+            for (std::size_t i = 0; i < out.creditsInFlight(); ++i)
+                cal.markCredit(id, p,
+                               std::max(out.creditArrival(i), now_));
+        }
+    }
+    for (int node = 0; node < topo_->numNodes(); ++node)
+        if (!sourceQueues_[static_cast<std::size_t>(node)].empty())
+            WakeCalendar::set(cal.pending(), node);
 }
 
 void
@@ -187,8 +252,7 @@ Network::offerPacket(int srcNode, int dstNode, int sizeFlits,
     pkt.tag = tag;
     routing_->onInject(pkt, *this);
     sourceQueues_[static_cast<std::size_t>(srcNode)].push_back(h);
-    if (batchObs_)
-        batchObs_->noteOffer(batchLane_, srcNode);
+    WakeCalendar::set(cal_->pending(), srcNode);
 }
 
 int
@@ -226,43 +290,10 @@ Network::pumpNode(int node, SimCounters &counters)
 }
 
 void
-Network::pumpInjection()
-{
-    for (int node = 0; node < topo_->numNodes(); ++node)
-        pumpNode(node, *counters_);
-}
-
-void
-Network::buildWorklist()
-{
-    // A router must run this cycle iff it has buffered flits (inputs,
-    // central buffer, or ejection queues — fresh injections included)
-    // or traffic parked on an incident channel (arriving flits or
-    // returning credits, whether or not they arrive this cycle).
-    // Everything else is provably a no-op: routeHeads and the
-    // allocators touch only buffered flits, and the rotating
-    // arbitration pointers are derived from `now`, not mutated state.
-    activeScratch_.clear();
-    int n = static_cast<int>(routers_.size());
-    for (int r = 0; r < n; ++r)
-        routerActive_[static_cast<std::size_t>(r)] =
-            routers_[static_cast<std::size_t>(r)]->bufferedFlits() > 0;
-    for (std::size_t c = 0; c < channels_.size(); ++c) {
-        if (channels_[c]->flitsInFlight() > 0)
-            routerActive_[static_cast<std::size_t>(
-                chanFlitSink_[c])] = true;
-        if (channels_[c]->creditsInFlight() > 0)
-            routerActive_[static_cast<std::size_t>(
-                chanCreditSink_[c])] = true;
-    }
-    for (int r = 0; r < n; ++r)
-        if (routerActive_[static_cast<std::size_t>(r)])
-            activeScratch_.push_back(r);
-}
-
-void
 Network::step()
 {
+    SNOC_ASSERT(calendarAttached_,
+                "step() on a Network a ShardedNetwork is driving");
     // Attach live queue state lazily: Network objects are movable,
     // so the pointer must be taken on the object that actually
     // steps, not on the one build() ran on.
@@ -270,18 +301,82 @@ Network::step()
         routing_->attachState(*this);
         stateAttached_ = true;
     }
-    if (faultsArmed_)
+    if (faultsArmed_) {
+        // A fired event purges buffers and channels and pushes
+        // reclaim credits behind the calendar's back.
+        std::size_t cursor = faultCursor_;
         applyPendingFaults();
-    pumpInjection();
-    buildWorklist();
-    for (int r : activeScratch_)
-        routers_[static_cast<std::size_t>(r)]->collectArrivals(now_);
-    for (int r : activeScratch_)
-        routers_[static_cast<std::size_t>(r)]->step(now_);
+        if (faultCursor_ != cursor)
+            rebuildCalendar();
+    }
+    WakeCalendar &cal = *cal_;
+    const int rw = cal.routerWords();
+    const int pw = cal.portWords();
+
+    // Injection: only nodes with queued packets, in ascending order.
+    std::uint64_t *queued = cal.queued();
+    std::uint64_t *pending = cal.pending();
+    for (int w = 0; w < cal.nodeWords(); ++w) {
+        for (std::uint64_t m = pending[w]; m; m &= m - 1) {
+            int bit = std::countr_zero(m);
+            int node = (w << 6) + bit;
+            if (pumpNode(node, *counters_) > 0)
+                WakeCalendar::set(queued, topo_->routerOfNode(node));
+            if (sourceQueues_[static_cast<std::size_t>(node)].empty())
+                pending[w] &= ~(std::uint64_t{1} << bit);
+        }
+    }
+
+    // This cycle's visit set: routers with an arrival due (the slot
+    // of `now`), plus those holding buffered flits.
+    std::uint64_t *due = cal.wheel(now_);
+    std::uint64_t *visit = cal.visit();
+    for (int w = 0; w < rw; ++w)
+        visit[w] = queued[w] | due[w];
+
+    // Phase 1: absorb arrivals, reading only the flagged ports. Pushes
+    // land 1..slots-1 cycles ahead, never in this slot, so the slot is
+    // cleared once all of its rows have been read.
+    for (int w = 0; w < rw; ++w) {
+        for (std::uint64_t m = due[w]; m; m &= m - 1) {
+            int r = (w << 6) + std::countr_zero(m);
+            std::uint64_t *ports = cal.ports(now_, r);
+            routers_[static_cast<std::size_t>(r)]->collectArrivals(
+                now_, ports, ports + pw);
+            for (int k = 0; k < 2 * pw; ++k)
+                ports[k] = 0;
+        }
+    }
+    for (int w = 0; w < rw; ++w)
+        due[w] = 0;
+    // Phase 2: route / allocate / send. Router::step() on a router
+    // with nothing buffered is a provable no-op.
+    for (int w = 0; w < rw; ++w) {
+        for (std::uint64_t m = visit[w]; m; m &= m - 1) {
+            Router &rt = *routers_[static_cast<std::size_t>(
+                (w << 6) + std::countr_zero(m))];
+            if (rt.bufferedFlits() > 0)
+                rt.step(now_);
+        }
+    }
+    // Phase 3: drain ejection, then refresh the queued bits: a
+    // visit is the only place a router's buffers change, apart from
+    // injection (which sets the bit above).
     deliveredScratch_.clear();
-    for (int r : activeScratch_)
-        routers_[static_cast<std::size_t>(r)]->drainEjection(
-            now_, deliveredScratch_);
+    lastVisited_ = 0;
+    for (int w = 0; w < rw; ++w) {
+        for (std::uint64_t m = visit[w]; m; m &= m - 1) {
+            int bit = std::countr_zero(m);
+            Router &rt = *routers_[static_cast<std::size_t>(
+                (w << 6) + bit)];
+            rt.drainEjection(now_, deliveredScratch_);
+            if (rt.bufferedFlits() > 0)
+                queued[w] |= std::uint64_t{1} << bit;
+            else
+                queued[w] &= ~(std::uint64_t{1} << bit);
+            ++lastVisited_;
+        }
+    }
     processDelivered();
     ++now_;
 }

@@ -11,18 +11,29 @@
  *
  * Hot-path contract: packets live in an index-based PacketPool arena
  * owned by the Network (flits carry handles, not refcounts), all
- * queues are pre-reserved ring buffers, and step() visits only the
- * active-router worklist — routers with buffered flits, in-flight
- * channel traffic, or fresh injections. Steady-state step() performs
- * zero heap allocations (enforced by tests/sim/
+ * queues are pre-reserved ring buffers, and steady-state step()
+ * performs zero heap allocations (enforced by tests/sim/
  * hotpath_equivalence_test.cc).
+ *
+ * step() visits only the routers that can act, found through a
+ * WakeCalendar instead of a scan: a router is visited when it holds
+ * buffered flits (`queued`) or when a flit or credit lands on one of
+ * its ports this very cycle. Routers write the calendar as they push
+ * onto a channel, so a visit costs O(set bits), and collectArrivals
+ * reads only the flagged ports. Skipping the other routers is exact,
+ * not an approximation: for them collect would find nothing arrived,
+ * the allocators act only on buffered flits, and the round-robin
+ * pointers derive from `now`.
  */
 
 #ifndef SNOC_SIM_NETWORK_HH
 #define SNOC_SIM_NETWORK_HH
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -36,7 +47,6 @@
 
 namespace snoc {
 
-class BatchedNetwork;
 class ShardedNetwork;
 
 /** Wire / SMART configuration. */
@@ -64,6 +74,114 @@ using DeliveryCallback = std::function<void(const Packet &)>;
  * fault-free runs.
  */
 using DropCallback = std::function<void(const Packet &)>;
+
+/**
+ * The Network's visit bookkeeping, in one flat allocation of 64-bit
+ * words:
+ *
+ *  - a wheel of router bitsets indexed by arrival cycle & (slots - 1),
+ *    with slots a power of two above the farthest arrival a push can
+ *    schedule (link latency + router pipeline), so the current slot is
+ *    never written while it is being visited;
+ *  - for every (slot, router) a row of `portWords` input-port words
+ *    (flits landing on that input) then `portWords` output-port words
+ *    (credits landing on that output); several words because a spine
+ *    router can have more than 64 network ports;
+ *  - the `queued` router bitset (router holds buffered flits), the
+ *    current cycle's `visit` router set, and the pending-source node
+ *    bitset (node's source queue is non-empty).
+ *
+ * Routers mark the wheel through markFlit / markCredit as they push
+ * (Router::sendFlit, credit returns); Network::step() reads and clears
+ * the current slot.
+ */
+class WakeCalendar
+{
+  public:
+    /** @param horizon farthest arrival offset a push can schedule */
+    WakeCalendar(int routers, int portWords, int nodes, int horizon);
+
+    int routerWords() const { return routerWords_; }
+    int portWords() const { return portWords_; }
+    int nodeWords() const { return nodeWords_; }
+
+    /** A flit lands on `router`'s input port `port` at cycle `at`. */
+    void
+    markFlit(int router, int port, Cycle at)
+    {
+        mark(router, port, at, 0);
+    }
+
+    /** A credit lands on `router`'s output port `port` at `at`. */
+    void
+    markCredit(int router, int port, Cycle at)
+    {
+        mark(router, port, at, portWords_);
+    }
+
+    /** Router bitset of the slot cycle `at` maps to. */
+    std::uint64_t *
+    wheel(Cycle at)
+    {
+        return bits_.data() + slotOf(at) * rw();
+    }
+
+    /** Port row of (slot of `at`, router): input words, then output
+     *  words. */
+    std::uint64_t *
+    ports(Cycle at, int router)
+    {
+        return bits_.data() + portsAt_ +
+               (slotOf(at) * routers_ + static_cast<std::size_t>(router)) *
+                   2 * pw();
+    }
+
+    std::uint64_t *queued() { return bits_.data() + queuedAt_; }
+    std::uint64_t *visit() { return queued() + rw(); }
+    std::uint64_t *pending() { return visit() + rw(); }
+
+    /** Clear every bit (before a rebuild). */
+    void clear() { std::fill(bits_.begin(), bits_.end(), 0); }
+
+    /** Whether bit `i` of a bitset row is set. */
+    static bool
+    test(const std::uint64_t *row, int i)
+    {
+        return (row[i >> 6] >> (i & 63)) & 1;
+    }
+
+    static void
+    set(std::uint64_t *row, int i)
+    {
+        row[i >> 6] |= std::uint64_t{1} << (i & 63);
+    }
+
+  private:
+    std::size_t routers_ = 0;
+    int routerWords_ = 0;
+    int portWords_ = 0;
+    int nodeWords_ = 0;
+    Cycle mask_ = 0;           //!< slots - 1
+    std::size_t portsAt_ = 0;  //!< offset of the port rows
+    std::size_t queuedAt_ = 0; //!< offset of queued, visit, pending
+    std::vector<std::uint64_t> bits_;
+
+    std::size_t rw() const { return static_cast<std::size_t>(routerWords_); }
+    std::size_t pw() const { return static_cast<std::size_t>(portWords_); }
+
+    std::size_t
+    slotOf(Cycle at) const
+    {
+        return static_cast<std::size_t>(at & mask_);
+    }
+
+    void
+    mark(int router, int port, Cycle at, int side)
+    {
+        set(wheel(at), router);
+        set(ports(at, router) + side, port);
+    }
+};
 
 /** A simulated network instance. */
 class Network : public NetworkState
@@ -158,8 +276,9 @@ class Network : public NetworkState
     /** Packets waiting in source queues. */
     std::uint64_t sourceQueueDepth() const;
 
-    /** Routers visited by the last step() (worklist diagnostics). */
-    std::size_t lastActiveRouters() const { return activeScratch_.size(); }
+    /** Routers visited by the last step(): queued routers plus those
+     *  with an arrival due (calendar diagnostics). */
+    std::size_t lastActiveRouters() const { return lastVisited_; }
 
     // --- fault injection (see src/sim/fault_injection.cc) ---
 
@@ -189,9 +308,11 @@ class Network : public NetworkState
      * Exhaustive structural audit for the test suite's invariant
      * layer (tests/support/sim_invariants.hh): per-VC credit
      * conservation across every channel, buffered-flit recounts,
-     * central-buffer occupancy/reservation consistency. Returns
-     * false and fills `err` on the first violation. Not a hot-path
-     * facility — it walks the whole network.
+     * central-buffer occupancy/reservation consistency, and the wake
+     * calendar (queued and pending-source bits exact, every in-flight
+     * flit and credit marked at its arrival slot). Returns false and
+     * fills `err` on the first violation. Not a hot-path facility —
+     * it walks the whole network.
      */
     bool auditInvariants(std::string &err) const;
 
@@ -235,14 +356,11 @@ class Network : public NetworkState
     int pathOccupancy(int srcRouter, int dstRouter) const override;
 
   private:
-    // BatchedNetwork drives lanes through the same per-cycle phases
-    // as step(), via a leaner visit schedule; it needs the same
-    // internal access the Network itself has.
-    friend class BatchedNetwork;
     // ShardedNetwork (src/sim/shard.hh) runs the same phases on
     // partition-owned router subsets across threads, with barriers
     // between phases; it drives pumpNode/collectArrivals/step/drain
-    // and the delivery merge directly over these internals.
+    // and the delivery merge directly over these internals, with the
+    // calendar detached.
     friend class ShardedNetwork;
 
     std::shared_ptr<const NocTopology> topo_;
@@ -266,24 +384,20 @@ class Network : public NetworkState
     Cycle now_ = 0;
     bool stateAttached_ = false;
     std::uint64_t nextPacketId_ = 1;
-    // Set when this Network is a lane of a BatchedNetwork: offers are
-    // reported so the batch sweep can pump only nodes with queued
-    // packets. Null (one predicted-not-taken branch) when unbatched.
-    BatchedNetwork *batchObs_ = nullptr;
-    int batchLane_ = 0;
     // Heap-allocated so routers' pointers stay valid if the Network
     // is moved (factories return Network by value).
     std::unique_ptr<PacketPool> pool_ = std::make_unique<PacketPool>();
     std::unique_ptr<SimCounters> counters_ =
         std::make_unique<SimCounters>();
+    std::unique_ptr<WakeCalendar> cal_; //!< built by build()
+    bool calendarAttached_ = true; //!< false while sharded
+    std::size_t lastVisited_ = 0;
     Accumulator latency_;
     Accumulator netLatency_;
     Accumulator hops_;
     std::uint64_t winFlits_ = 0;
 
     std::vector<PacketHandle> deliveredScratch_;
-    std::vector<std::uint8_t> routerActive_; //!< per-router wake flag
-    std::vector<int> activeScratch_; //!< this cycle's router worklist
 
     // --- fault state (inert unless faultsArmed_) ---
     bool faultsArmed_ = false;
@@ -299,14 +413,22 @@ class Network : public NetworkState
     void build(std::uint64_t seed, RoutingMode mode,
                const FaultPlan &faults,
                std::shared_ptr<const ShortestPaths> sharedPaths = nullptr);
-    void pumpInjection();
     // Injection counters go through the parameter so sharded callers
     // can direct them into per-shard counters (serial callers pass
     // *counters_).
     int pumpNode(int node, SimCounters &counters);
     void processDelivered();
-    void buildWorklist();
     int linkLatencyFor(int distance) const;
+
+    /** Point every router at the calendar (or at nothing while a
+     *  ShardedNetwork drives them); attaching rebuilds it. */
+    void attachCalendar(bool attach);
+    /** Recompute the calendar from the network's state: queued and
+     *  pending-source bits, and a mark for every in-flight flit and
+     *  credit at max(arrival, now). Rare path: after a fault event
+     *  fired, and when a ShardedNetwork detaches. */
+    void rebuildCalendar();
+    bool auditCalendar(std::string &err) const;
 
     // Fault machinery (src/sim/fault_injection.cc).
     void armFaults(const FaultPlan &faults);

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/log.hh"
+#include "sim/network.hh"
 
 namespace snoc {
 
@@ -21,13 +22,14 @@ Router::Router(int id, const RouterConfig &cfg,
 
 int
 Router::addNetworkPort(FlitChannel *out, FlitChannel *in, int neighbor,
-                       int wireLength)
+                       int peerPort, int wireLength)
 {
     SNOC_ASSERT(localPorts_.empty(),
                 "add network ports before local ports");
     InputPort ip;
     ip.in = in;
     ip.neighbor = neighbor;
+    ip.peerPort = peerPort;
     int depth = cfg_.inputBufferDepth(in->latency()) +
                 cfg_.elasticBonus(in->latency());
     ip.vcs.resize(static_cast<std::size_t>(numVcs_));
@@ -48,6 +50,7 @@ Router::addNetworkPort(FlitChannel *out, FlitChannel *in, int neighbor,
     OutputPort op;
     op.out = out;
     op.neighbor = neighbor;
+    op.peerPort = peerPort;
     op.wireLength = wireLength;
     op.vcs.resize(static_cast<std::size_t>(numVcs_));
     // Credits cover the downstream input buffer, whose depth mirrors
@@ -174,36 +177,40 @@ Router::injectFlit(int localIndex, Flit flit)
 }
 
 void
-Router::collectArrivals(Cycle now)
+Router::collectArrivals(Cycle now, const std::uint64_t *inMask,
+                        const std::uint64_t *outMask)
 {
-    for (std::size_t p = 0; p < inputs_.size(); ++p) {
-        InputPort &ip = inputs_[p];
-        if (!ip.in || !ip.in->hasArrivedFlits(now))
-            continue;
-        flitScratch_.clear();
-        ip.in->popArrivedFlits(now, flitScratch_);
-        for (const Flit &flit : flitScratch_) {
-            InputVc &vc = ip.vcs[static_cast<std::size_t>(flit.vc)];
-            SNOC_ASSERT(static_cast<int>(vc.buffer.size()) <
-                            vc.capacity,
-                        "credit protocol violated: input VC overflow "
-                        "at router ", id_);
-            vc.buffer.push_back(flit);
-            markVcOccupied(ip, flit.vc);
-            ++bufferedFlits_;
-            ++counters_->bufferWrites;
+    const int words = (numNetPorts_ + 63) >> 6;
+    for (int w = 0; w < words; ++w) {
+        for (std::uint64_t m = inMask[w]; m; m &= m - 1) {
+            InputPort &ip = inputs_[static_cast<std::size_t>(
+                (w << 6) + std::countr_zero(m))];
+            flitScratch_.clear();
+            ip.in->popArrivedFlits(now, flitScratch_);
+            for (const Flit &flit : flitScratch_) {
+                InputVc &vc = ip.vcs[static_cast<std::size_t>(flit.vc)];
+                SNOC_ASSERT(static_cast<int>(vc.buffer.size()) <
+                                vc.capacity,
+                            "credit protocol violated: input VC "
+                            "overflow at router ", id_);
+                vc.buffer.push_back(flit);
+                markVcOccupied(ip, flit.vc);
+                ++bufferedFlits_;
+                ++counters_->bufferWrites;
+            }
         }
     }
-    for (std::size_t p = 0; p < outputs_.size(); ++p) {
-        OutputPort &op = outputs_[p];
-        if (!op.out || !op.out->hasArrivedCredits(now))
-            continue;
-        creditScratch_.clear();
-        op.out->popArrivedCredits(now, creditScratch_);
-        occToward_[static_cast<std::size_t>(op.neighbor)] -=
-            static_cast<int>(creditScratch_.size());
-        for (int vc : creditScratch_)
-            ++op.vcs[static_cast<std::size_t>(vc)].credits;
+    for (int w = 0; w < words; ++w) {
+        for (std::uint64_t m = outMask[w]; m; m &= m - 1) {
+            OutputPort &op = outputs_[static_cast<std::size_t>(
+                (w << 6) + std::countr_zero(m))];
+            creditScratch_.clear();
+            op.out->popArrivedCredits(now, creditScratch_);
+            occToward_[static_cast<std::size_t>(op.neighbor)] -=
+                static_cast<int>(creditScratch_.size());
+            for (int vc : creditScratch_)
+                ++op.vcs[static_cast<std::size_t>(vc)].credits;
+        }
     }
 }
 
@@ -304,7 +311,7 @@ Router::cbIntakeFrom(InputPort &ip, int p, int v, Cycle now)
         outputs_[static_cast<std::size_t>(ivc.outPort)].cbMask |=
             std::uint64_t{1} << ivc.outVc;
     if (ip.in)
-        ip.in->pushCredit(v, now);
+        returnCredit(ip, v, now);
     inputBusy_[static_cast<std::size_t>(p)] = true;
     cbInputBusy_ = true;
     if (tail) {
@@ -472,9 +479,8 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         ivc.buffer.pop_front();
         markVcDrained(ip, ownerVc);
         ++counters_->bufferReads;
-        if (ip.in) {
-            ip.in->pushCredit(ownerVc, now);
-        }
+        if (ip.in)
+            returnCredit(ip, ownerVc, now);
         inputBusy_[static_cast<std::size_t>(ownerPort)] = true;
         --ivc.flitsLeft;
         bool tail = flit.tail;
@@ -532,7 +538,7 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         markVcDrained(ip, static_cast<int>(v));
         ++counters_->bufferReads;
         if (ip.in)
-            ip.in->pushCredit(static_cast<int>(v), now);
+            returnCredit(ip, static_cast<int>(v), now);
         inputBusy_[static_cast<std::size_t>(ipIdx)] = true;
         --ivc.flitsLeft;
         ovc.owner.kind = VcOwner::Kind::Input;
@@ -647,11 +653,21 @@ Router::sendFlit(int port, int vc, Flit flit, Cycle now, bool fromCb)
         // The router pipeline (2-cycle bypass; the CB path's extra
         // queue stages emerge from the CB intake/drain cycles) is
         // added as a constant so arrivals stay monotonic per channel.
-        op.out->pushFlit(flit, now, cfg_.pipelineCycles - 1);
+        Cycle at = op.out->pushFlit(flit, now, cfg_.pipelineCycles - 1);
+        if (cal_)
+            cal_->markFlit(op.neighbor, op.peerPort, at);
     } else {
         op.ejectionQueue.push_back(flit);
     }
     (void)fromCb;
+}
+
+void
+Router::returnCredit(const InputPort &ip, int vc, Cycle now)
+{
+    Cycle at = ip.in->pushCredit(vc, now);
+    if (cal_)
+        cal_->markCredit(ip.neighbor, ip.peerPort, at);
 }
 
 void

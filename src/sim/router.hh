@@ -24,8 +24,15 @@
  * from RouterConfig, flits reference packets through PacketPool
  * handles, round-robin pointers that used to advance every cycle are
  * derived from `now` (so idle routers can be skipped bit-exactly by
- * the Network's active worklist), and steady-state operation performs
+ * the Network's wake calendar), and steady-state operation performs
  * zero heap allocations.
+ *
+ * Wakes: every push onto a channel marks the Network's WakeCalendar
+ * at the arrival cycle — sendFlit marks the downstream router's input
+ * port, each credit return the upstream router's output port — and
+ * collectArrivals pops only the ports its caller flags. The calendar
+ * pointer is null while a ShardedNetwork drives the routers (pushes
+ * from several threads would race on shared wheel words).
  *
  * Occupancy and sweep bookkeeping is incremental, never recomputed:
  *
@@ -65,6 +72,8 @@
 
 namespace snoc {
 
+class WakeCalendar;
+
 /** One router instance. */
 class Router
 {
@@ -85,11 +94,12 @@ class Router
      * @param out        channel carrying flits to the neighbor
      * @param in         channel carrying the neighbor's flits to us
      * @param neighbor   neighbor router id
+     * @param peerPort   the neighbor's port on the same channel pair
      * @param wireLength Manhattan wire length in grid hops
      * @return the port index
      */
     int addNetworkPort(FlitChannel *out, FlitChannel *in, int neighbor,
-                       int wireLength);
+                       int peerPort, int wireLength);
 
     /** Attach a local node (injection + ejection). Returns port. */
     int addLocalPort(int node);
@@ -110,10 +120,12 @@ class Router
     /** Enqueue one flit of a packet being injected. @pre space. */
     void injectFlit(int localIndex, Flit flit);
 
-    /** Phase 1: absorb arriving flits and credits. Each channel's
-     *  ring front is checked first, so a port with nothing arrived
-     *  costs one branch instead of a drain call. */
-    void collectArrivals(Cycle now);
+    /** Phase 1: absorb the flits arrived on the network input ports
+     *  flagged in `inMask` and the credits arrived on the output ports
+     *  flagged in `outMask` (bitsets over net ports, one word per 64
+     *  ports). */
+    void collectArrivals(Cycle now, const std::uint64_t *inMask,
+                         const std::uint64_t *outMask);
 
     /** Phase 2: route, manage the CB, allocate the switch, send. */
     void step(Cycle now);
@@ -132,7 +144,7 @@ class Router
     }
 
     /** Total flits buffered in this router, maintained incrementally
-     *  (drain checks and the Network's active-router worklist). */
+     *  (drain checks and the Network's queued-router bits). */
     int bufferedFlits() const { return bufferedFlits_; }
 
     /** Flits sent on the port toward the k-th adjacency entry. */
@@ -145,14 +157,10 @@ class Router
 
   private:
     // The Network implements the rare-path fault purge and the test
-    // suite's invariant audit directly over router internals (see
-    // src/sim/fault_injection.cc); the two are coupled by
-    // construction anyway (the Network wires every port).
+    // suite's invariant audit (src/sim/fault_injection.cc) and the
+    // calendar rebuild directly over router internals; the two are
+    // coupled by construction anyway (the Network wires every port).
     friend class Network;
-    // The batched sweep (src/sim/batch.cc) drives the same phases
-    // through an arrival-exact wake calendar and needs the port
-    // tables to schedule wakes from channel fronts.
-    friend class BatchedNetwork;
     // The sharded loop (src/sim/shard.cc) repoints counters_ at
     // per-shard counters so worker threads never share a counter
     // cache line; everything else it drives is public phase API.
@@ -181,6 +189,7 @@ class Router
     {
         FlitChannel *in = nullptr; //!< null for local ports
         int neighbor = -1;
+        int peerPort = -1;         //!< neighbor's output port on `in`
         int node = -1;             //!< local port's node id
         std::vector<InputVc> vcs;  //!< single pseudo-VC for local
         int rrVc = 0;              //!< round-robin pointer
@@ -211,6 +220,7 @@ class Router
     {
         FlitChannel *out = nullptr; //!< null for local ports
         int neighbor = -1;
+        int peerPort = -1; //!< neighbor's input port on `out`
         int node = -1;
         int wireLength = 0;
         int downstreamDepth = 0; //!< cached inputBufferDepth +
@@ -243,6 +253,7 @@ class Router
     RoutingAlgorithm *routing_;
     PacketPool *pool_;
     SimCounters *counters_;
+    WakeCalendar *cal_ = nullptr; //!< null while sharded
     int numVcs_;
     int numNetPorts_ = 0;
     bool masksEnabled_ = true; //!< numVcs_ fits one mask word
@@ -302,6 +313,7 @@ class Router
     bool tryGrantOutputVc(int port, int vc, Cycle now);
     void sendFlit(int port, int vc, Flit flit, Cycle now,
                   bool fromCb);
+    void returnCredit(const InputPort &ip, int vc, Cycle now);
     int resolveOutPort(int nextRouter, int vcForTieBreak) const;
     CbQueue &cbQueue(int port, int vc);
 

@@ -25,9 +25,9 @@ ShardedNetwork::ShardedNetwork(Network &net, int numShards)
                         topo.routerOfNode(node))])]
             .nodes.push_back(node);
 
-    // Split the serial buildWorklist channel scan by wake target:
-    // the shard owning a channel's flit sink checks its flits, the
-    // shard owning its credit sink checks its credits.
+    // Split the worklist's channel scan by wake target: the shard
+    // owning a channel's flit sink checks its flits, the shard owning
+    // its credit sink checks its credits.
     for (std::size_t c = 0; c < net_.channels_.size(); ++c) {
         shards_[static_cast<std::size_t>(
                     part_.shardOf[static_cast<std::size_t>(
@@ -46,13 +46,27 @@ ShardedNetwork::ShardedNetwork(Network &net, int numShards)
     }
     segCursor_.resize(static_cast<std::size_t>(s));
     flitCursor_.resize(static_cast<std::size_t>(s));
+    routerActive_.resize(net_.routers_.size());
+
+    // The worklist visits a router whenever traffic is parked on one
+    // of its channels, so collect checks every network port.
+    portWords_ = net_.cal_->portWords();
+    allPorts_.assign(net_.routers_.size() *
+                         static_cast<std::size_t>(portWords_),
+                     0);
+    for (std::size_t r = 0; r < net_.routers_.size(); ++r)
+        for (int p = 0; p < net_.routers_[r]->numNetPorts(); ++p)
+            WakeCalendar::set(allPortsOf(static_cast<int>(r)), p);
 
     // Point each router's counters at its shard so the parallel
     // phases never write a shared counter; the epilogue folds them.
+    // Detach the calendar too: pushes from several shards would race
+    // on shared wheel words.
     for (std::size_t r = 0; r < net_.routers_.size(); ++r)
         net_.routers_[r]->counters_ =
             &shards_[static_cast<std::size_t>(part_.shardOf[r])]
                  .counters;
+    net_.attachCalendar(false);
 
     workers_.reserve(static_cast<std::size_t>(s - 1));
     for (int i = 1; i < s; ++i)
@@ -75,6 +89,14 @@ ShardedNetwork::~ShardedNetwork()
     }
     for (auto &r : net_.routers_)
         r->counters_ = net_.counters_.get();
+    net_.attachCalendar(true);
+}
+
+std::uint64_t *
+ShardedNetwork::allPortsOf(int router)
+{
+    return allPorts_.data() + static_cast<std::size_t>(router) *
+                                  static_cast<std::size_t>(portWords_);
 }
 
 void
@@ -135,26 +157,27 @@ ShardedNetwork::phaseA(int shard)
     Shard &sh = shards_[static_cast<std::size_t>(shard)];
     for (int node : sh.nodes)
         n.pumpNode(node, sh.counters);
-    // Worklist over owned routers only; routerActive_ bytes of other
-    // shards are distinct memory locations, channel reads are
-    // quiescent between phases.
+    // Worklist over owned routers only: a router runs if it holds
+    // buffered flits or traffic is parked on an incident channel.
+    // routerActive_ bytes of other shards are distinct memory
+    // locations, channel reads are quiescent between phases.
     for (int r : sh.routers)
-        n.routerActive_[static_cast<std::size_t>(r)] =
+        routerActive_[static_cast<std::size_t>(r)] =
             n.routers_[static_cast<std::size_t>(r)]->bufferedFlits() >
             0;
     for (int c : sh.flitWake)
         if (n.channels_[static_cast<std::size_t>(c)]->flitsInFlight() >
             0)
-            n.routerActive_[static_cast<std::size_t>(
+            routerActive_[static_cast<std::size_t>(
                 n.chanFlitSink_[static_cast<std::size_t>(c)])] = 1;
     for (int c : sh.creditWake)
         if (n.channels_[static_cast<std::size_t>(c)]
                 ->creditsInFlight() > 0)
-            n.routerActive_[static_cast<std::size_t>(
+            routerActive_[static_cast<std::size_t>(
                 n.chanCreditSink_[static_cast<std::size_t>(c)])] = 1;
     sh.active.clear();
     for (int r : sh.routers)
-        if (n.routerActive_[static_cast<std::size_t>(r)])
+        if (routerActive_[static_cast<std::size_t>(r)])
             sh.active.push_back(r);
 }
 
@@ -163,9 +186,11 @@ ShardedNetwork::phaseB(int shard)
 {
     Network &n = net_;
     Shard &sh = shards_[static_cast<std::size_t>(shard)];
-    for (int r : sh.active)
+    for (int r : sh.active) {
+        const std::uint64_t *all = allPortsOf(r);
         n.routers_[static_cast<std::size_t>(r)]->collectArrivals(
-            n.now_);
+            n.now_, all, all);
+    }
 }
 
 void

@@ -11,11 +11,18 @@
  *     ---- barrier ----
  *     phase A           injection pump + worklist   (all shards)
  *     ---- barrier ----
- *     phase B           collectArrivals             (all shards)
+ *     phase B           collectArrivals, all ports  (all shards)
  *     ---- barrier ----
  *     phase C           router step + drainEjection (all shards)
  *     ---- barrier ----
  *     serial epilogue   delivery merge, counter fold, ++now
+ *
+ * The shards do not use the Network's wake calendar (sim/network.hh):
+ * phase C pushes from several threads would race on its shared wheel
+ * words. Instead each shard scans its own routers and the channels
+ * that wake them (phase A) and collects every network port of the
+ * routers it visits; the calendar is detached while a ShardedNetwork
+ * exists and rebuilt from the network's state when it is destroyed.
  *
  * Cross-shard traffic needs no new structure: a FlitChannel's flit
  * and credit rings are already single-producer single-consumer *per
@@ -106,7 +113,7 @@ class SpinBarrier
  * barrier between steps). The Network must not be stepped directly
  * while a ShardedNetwork is attached; destruction detaches cleanly,
  * after which the Network is a normal serial network again, counters
- * intact.
+ * intact and wake calendar rebuilt.
  */
 class ShardedNetwork
 {
@@ -149,8 +156,7 @@ class ShardedNetwork
         std::vector<int> routers; //!< owned routers, ascending id
         std::vector<int> nodes;   //!< nodes on owned routers
         // Channels whose flit (resp. credit) arrivals wake one of
-        // our routers — the shard-local split of the serial
-        // buildWorklist channel scan.
+        // our routers.
         std::vector<int> flitWake;
         std::vector<int> creditWake;
         std::vector<int> active;  //!< this cycle's own worklist
@@ -165,6 +171,7 @@ class ShardedNetwork
         std::vector<Segment> segments;
     };
 
+    std::uint64_t *allPortsOf(int router);
     void workerLoop(int shard);
     void phaseA(int shard);
     void phaseB(int shard);
@@ -174,6 +181,11 @@ class ShardedNetwork
     Network &net_;
     Partition part_;
     std::vector<Shard> shards_;
+    std::vector<std::uint8_t> routerActive_; //!< per-router wake flag
+    // Per-router all-network-ports masks for collectArrivals
+    // ([router * portWords_ + w]).
+    std::vector<std::uint64_t> allPorts_;
+    int portWords_ = 0;
     SpinBarrier barrier_;
     std::vector<std::thread> workers_;
     std::atomic<bool> stop_{false};

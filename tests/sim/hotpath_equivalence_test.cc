@@ -3,7 +3,7 @@
  * Hot-path equivalence + allocation guard.
  *
  * The allocation-free rebuild of the cycle loop (packet pool, ring
- * buffers, active-router worklist) must be *bitwise identical* to the
+ * buffers, wake calendar) must be *bitwise identical* to the
  * original shared_ptr/deque implementation: same delivered-packet
  * stream (ids, timestamps, hop counts, in delivery order) and same
  * SimCounters. The goldens below were captured from the pre-refactor

@@ -1,15 +1,22 @@
 /**
  * @file
  * Simulator correctness tests: delivery, latency sanity, stability,
- * deadlock freedom under adversarial saturation, and architecture
- * variants (edge buffers, central buffers, elastic links, SMART).
+ * deadlock freedom under adversarial saturation, architecture
+ * variants (edge buffers, central buffers, elastic links, SMART), and
+ * routers with more network ports than one calendar mask word holds.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
+#include "sim/batch.hh"
 #include "sim/network.hh"
+#include "sim/shard.hh"
 #include "sim/simulation.hh"
 #include "tests/support/sim_invariants.hh"
+#include "tests/support/sim_results.hh"
 #include "topo/table4.hh"
 #include "traffic/synthetic.hh"
 
@@ -245,6 +252,67 @@ TEST(Network, CountersAreConsistent)
     double diff = static_cast<double>(c.bufferReads) -
                   static_cast<double>(c.bufferWrites);
     EXPECT_LT(std::abs(diff), 0.01 * static_cast<double>(c.bufferWrites));
+}
+
+TEST(Network, Clos1296SerialBatchedAndShardedAgree)
+{
+    // The 13 spines of clos_1296 have 162 network ports each, so the
+    // wake calendar's per-router port masks span three words.
+    auto topo = std::make_shared<const NocTopology>(
+        makeNamedTopology("clos_1296"));
+    int maxPorts = 0;
+    for (int r = 0; r < topo->numRouters(); ++r)
+        maxPorts = std::max(
+            maxPorts, static_cast<int>(topo->routers().neighbors(r).size()));
+    ASSERT_GT(maxPorts, 128);
+
+    const RouterConfig rc = RouterConfig::named("EB-Var");
+    SimConfig cfg;
+    cfg.warmupCycles = 200;
+    cfg.measureCycles = 600;
+    // RND traffic that audits the network every 100 cycles.
+    auto auditedSource = [&topo](
+                             std::function<bool(std::string &)> audit) {
+        auto pat = std::shared_ptr<TrafficPattern>(
+            makeTrafficPattern(PatternKind::Random, *topo));
+        SyntheticConfig sc;
+        sc.load = 0.1;
+        TrafficSource inner = makeSyntheticSource(pat, sc);
+        return TrafficSource([inner, audit](Network &net, Cycle now) {
+            if (now % 100 == 0) {
+                std::string err;
+                EXPECT_TRUE(audit(err)) << "cycle " << now << ": " << err;
+            }
+            return inner(net, now);
+        });
+    };
+
+    Network serialNet(topo, rc);
+    SimResult serial = runSimulation(
+        serialNet, auditedSource([&serialNet](std::string &err) {
+            return serialNet.auditInvariants(err);
+        }),
+        cfg);
+    EXPECT_GT(serial.packetsDelivered, 0u);
+
+    BatchedNetwork bn(topo, rc, LinkConfig{}, RoutingMode::Minimal,
+                      {BatchedNetwork::LaneSpec{}});
+    std::vector<BatchLaneSim> lanes = {
+        {auditedSource([&bn](std::string &err) {
+             return bn.auditInvariants(err);
+         }),
+         cfg}};
+    testsupport::expectSameResult(runBatchedSimulation(bn, lanes)[0],
+                                  serial, "1-lane batch");
+
+    Network shardedNet(topo, rc);
+    ShardedNetwork sn(shardedNet, 2);
+    testsupport::expectSameResult(
+        runShardedSimulation(sn, auditedSource([&sn](std::string &err) {
+                                 return sn.auditInvariants(err);
+                             }),
+                             cfg),
+        serial, "2 shards");
 }
 
 } // namespace

@@ -17,7 +17,10 @@
  *    purge and reroute coherently under sharding, with the shard-aware
  *    auditInvariants recounting boundary in-flight flits mid-run;
  *  - the audit itself runs while traffic is crossing shard boundaries,
- *    proving mailbox (channel) flits are counted exactly once.
+ *    proving mailbox (channel) flits are counted exactly once;
+ *  - a network stepped serially, then sharded, then serially again
+ *    (the Network rebuilds its wake calendar when the shards let go)
+ *    matches the all-serial run.
  */
 
 #include <gtest/gtest.h>
@@ -348,6 +351,51 @@ TEST(ShardAudit, BoundaryFlitsCountedExactlyOnceMidRun)
     // count, and nonzero while traffic is in flight.
     EXPECT_LE(sn.lastActiveRouters(),
               static_cast<std::size_t>(net.topology().numRouters()));
+}
+
+// --- calendar rebuild when a ShardedNetwork detaches -------------------------
+
+TEST(ShardDetach, SerialRunResumesAfterShardedStretch)
+{
+    const std::string topoId = "sn_54";
+    const RoutingMode mode = RoutingMode::UgalL;
+    std::uint64_t seed = scheduleSeed(topoId, mode);
+    Fingerprint ref = runSerial(topoId, "EB-Var", mode, seed);
+
+    Network net(makeNamedTopology(topoId), RouterConfig::named("EB-Var"),
+                LinkConfig{}, mode);
+    Fingerprint fp;
+    net.setDeliveryCallback(
+        [&fp](const Packet &p) { hashDelivery(fp, p); });
+    std::uint64_t s = seed;
+    int c = 0;
+    for (; c < 300; ++c) {
+        offerCycle(net, s);
+        net.step();
+    }
+    {
+        ShardedNetwork sn(net, 3);
+        for (; c < 600; ++c) {
+            offerCycle(net, s);
+            sn.step();
+        }
+        // Detach with traffic in flight, so the rebuilt calendar has
+        // flits and credits to wake.
+        ASSERT_GT(net.flitsInFlight(), 0u);
+    }
+    std::string err;
+    ASSERT_TRUE(net.auditInvariants(err)) << err;
+    for (; c < kOfferCycles; ++c) {
+        offerCycle(net, s);
+        net.step();
+    }
+    for (int d = 0;
+         d < kDrainLimit &&
+         net.flitsInFlight() + net.sourceQueueDepth() > 0;
+         ++d)
+        net.step();
+    finishFingerprint(fp, net);
+    expectEqual(fp, ref, "serial -> 3 shards -> serial");
 }
 
 } // namespace

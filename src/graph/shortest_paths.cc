@@ -3,24 +3,32 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <utility>
 
 namespace snoc {
 
-ShortestPaths::ShortestPaths(const Graph &g)
-    : graph_(&g), n_(g.numVertices())
+ShortestPaths::ShortestPaths(Graph g)
+    : graph_(std::move(g)), n_(graph_.numVertices())
 {
     table_.resize(static_cast<std::size_t>(n_) *
                   static_cast<std::size_t>(n_));
     for (int dst = 0; dst < n_; ++dst) {
-        auto d = g.bfsDistances(dst);
+        auto d = graph_.bfsDistances(dst);
         Entry *row = &table_[index(0, dst)];
         for (int v = 0; v < n_; ++v) {
             row[v].dist =
                 static_cast<std::int32_t>(d[static_cast<std::size_t>(v)]);
-            if (v == dst || d[static_cast<std::size_t>(v)] < 0)
+            if (d[static_cast<std::size_t>(v)] < 0) {
+                diameter_ = -1;
+                continue;
+            }
+            if (diameter_ >= 0)
+                diameter_ = std::max(diameter_,
+                                     d[static_cast<std::size_t>(v)]);
+            if (v == dst)
                 continue;
             int best = -1;
-            for (int w : g.neighbors(v)) {
+            for (int w : graph_.neighbors(v)) {
                 if (d[static_cast<std::size_t>(w)] ==
                     d[static_cast<std::size_t>(v)] - 1) {
                     if (best < 0 || w < best)
@@ -50,7 +58,7 @@ ShortestPaths::minimalNextHops(int src, int dst,
     if (src == dst)
         return;
     const Entry *row = &table_[index(0, dst)];
-    for (int w : graph_->neighbors(src)) {
+    for (int w : graph_.neighbors(src)) {
         if (row[w].dist == row[src].dist - 1) {
             // Parallel edges produce duplicate neighbors; keep one each.
             if (std::find(out.begin(), out.end(), w) == out.end())

@@ -31,13 +31,16 @@ namespace snoc {
  * single cache-resident row instead of chasing per-destination
  * vectors. Unreachable pairs hold (-1, -1).
  *
- * The referenced Graph must outlive this object.
+ * The table is self-contained: it keeps its own copy of the graph's
+ * adjacency (minimalNextHops walks it), so it may outlive the Graph
+ * it was built from and be shared read-only by any number of owners
+ * (NocTopology, Networks, routing schemes) across threads.
  */
 class ShortestPaths
 {
   public:
     /** Precompute tables for g. O(V * (V + E)). */
-    explicit ShortestPaths(const Graph &g);
+    explicit ShortestPaths(Graph g);
 
     /** Hop distance between routers (-1 when unreachable). */
     int
@@ -74,6 +77,10 @@ class ShortestPaths
 
     int numVertices() const { return n_; }
 
+    /** Maximum hop distance over all pairs; -1 if disconnected.
+     *  Found while the table is filled, so reading it is O(1). */
+    int diameter() const { return diameter_; }
+
   private:
     /** One (src, dst) table entry: hop distance + next hop. */
     struct Entry
@@ -90,8 +97,9 @@ class ShortestPaths
                static_cast<std::size_t>(src);
     }
 
-    const Graph *graph_;
+    Graph graph_;
     int n_;
+    int diameter_ = 0;
     std::vector<Entry> table_; //!< row-major by dst: [dst * n_ + src]
 };
 

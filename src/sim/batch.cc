@@ -16,16 +16,10 @@ BatchedNetwork::BatchedNetwork(std::shared_ptr<const NocTopology> topo,
     SNOC_ASSERT(specs.size() <= static_cast<std::size_t>(kMaxLanes),
                 "too many lanes for one mask word");
 
-    // One fault-free path table for every lane; a lane whose fault
-    // plan fires swaps only its own pointer (copy-on-write).
-    auto sharedPaths =
-        std::make_shared<const ShortestPaths>(topo->routers());
-
     lanes_.reserve(specs.size());
     for (const LaneSpec &spec : specs)
         lanes_.push_back(std::make_unique<Network>(
-            topo, router, link, mode, spec.routingSeed, spec.faults,
-            sharedPaths));
+            topo, router, link, mode, spec.routingSeed, spec.faults));
 }
 
 void

@@ -6,9 +6,9 @@
  * Figure-class campaigns re-simulate the *same* topology dozens of
  * times with only per-run state differing (load, traffic seed, fault
  * plan, routing seed). A BatchedNetwork owns N Network lanes that
- * share the immutable structure — one NocTopology and one fault-free
- * ShortestPaths table via shared_ptr (a lane's fault rebuild swaps
- * its own pointer: copy-on-write) — while all per-run mutable state
+ * share the immutable structure — one NocTopology via shared_ptr, and
+ * through it the topology's fault-free ShortestPaths table, as any
+ * Network on that topology does — while all per-run mutable state
  * (router/VC/channel queues, occupancy counters, credit counts, RNG
  * streams, SimCounters, the wake calendar) stays per lane, exactly as
  * an unbatched run would hold it.

@@ -15,9 +15,10 @@
  *
  *  1. dead/alive flags update (a channel is alive iff its link is
  *     not explicitly LinkDown'ed and both endpoint routers live);
- *  2. the live router graph and every routing table are rebuilt
- *     (BFS over the degraded graph — per fault event, never per
- *     cycle);
+ *  2. the live router graph is rebuilt and one path table is built
+ *     over it (BFS over the degraded graph — per fault event, never
+ *     per cycle), which the Network and its routing scheme share;
+ *     the topology's fault-free table stays untouched;
  *  3. the purge: packets that a fault *cut* (a flit on a dead
  *     channel / in a dead router, or a committed next hop through a
  *     dead port) and packets whose destination became disconnected
@@ -85,11 +86,9 @@ Network::armFaults(const FaultPlan &faults)
     chanIndexByPtr_.clear();
     for (std::size_t c = 0; c < channels_.size(); ++c)
         chanIndexByPtr_[channels_[c].get()] = c;
+    // Nothing is dead yet, so the topology's table (paths_) already
+    // is the live graph's: the first fault event builds a new one.
     rebuildLiveGraph();
-    // Re-anchor the path tables on the live graph so every later
-    // rebuild (and the offer-time reachability guard) sees the
-    // degraded topology.
-    paths_ = std::make_shared<const ShortestPaths>(*liveGraph_);
 }
 
 bool
@@ -197,8 +196,11 @@ Network::applyPendingFaults()
         return;
 
     rebuildLiveGraph();
+    // One live table, shared with the routing scheme. It is built
+    // from liveGraph_ itself because MinAdaptiveRouting's candidate
+    // order follows that graph's adjacency order.
     paths_ = std::make_shared<const ShortestPaths>(*liveGraph_);
-    routing_->onTopologyChange(*liveGraph_);
+    routing_->onTopologyChange(paths_);
     if (anyDown)
         purgeAfterFaults();
 }
@@ -543,66 +545,55 @@ Network::auditInvariants(std::string &err) const
 
         // Incremental sweep masks / requester refcounts vs a
         // from-scratch scan.
-        if (rt.masksEnabled_) {
-            std::vector<std::uint16_t> reqRecount(
-                rt.reqCount_.size(), 0);
-            for (std::size_t p = 0; p < rt.inputs_.size(); ++p) {
-                const Router::InputPort &ip = rt.inputs_[p];
-                std::uint64_t occMask = 0;
-                for (std::size_t v = 0; v < ip.vcs.size(); ++v) {
-                    const Router::InputVc &ivc = ip.vcs[v];
-                    if (!ivc.buffer.empty())
-                        occMask |= std::uint64_t{1} << v;
-                    if (ivc.routed && !ivc.viaCb)
-                        ++reqRecount[static_cast<std::size_t>(
-                                         ivc.outPort) *
-                                         static_cast<std::size_t>(
-                                             rt.numVcs_) +
-                                     static_cast<std::size_t>(
-                                         ivc.outVc)];
-                }
-                if (ip.occMask != occMask) {
-                    oss << "router " << rt.id_ << " input port " << p
-                        << ": occMask " << ip.occMask
-                        << " != recount " << occMask;
-                    return fail(oss.str());
-                }
+        const std::size_t numVcs = static_cast<std::size_t>(rt.numVcs_);
+        std::vector<std::uint16_t> reqRecount(rt.reqCount_.size(), 0);
+        for (std::size_t p = 0; p < rt.inputs_.size(); ++p) {
+            const Router::InputPort &ip = rt.inputs_[p];
+            std::uint64_t occMask = 0;
+            for (std::size_t v = 0; v < ip.vcs.size(); ++v) {
+                const Router::InputVc &ivc = ip.vcs[v];
+                if (!ivc.buffer.empty())
+                    occMask |= std::uint64_t{1} << v;
+                if (ivc.routed && !ivc.viaCb)
+                    ++reqRecount[static_cast<std::size_t>(ivc.outPort) *
+                                     numVcs +
+                                 static_cast<std::size_t>(ivc.outVc)];
             }
-            if (rt.reqCount_ != reqRecount) {
-                oss << "router " << rt.id_
-                    << ": requester refcounts diverged from recount";
+            if (ip.occMask != occMask) {
+                oss << "router " << rt.id_ << " input port " << p
+                    << ": occMask " << ip.occMask
+                    << " != recount " << occMask;
                 return fail(oss.str());
             }
-            for (std::size_t p = 0; p < rt.outputs_.size(); ++p) {
-                const Router::OutputPort &op = rt.outputs_[p];
-                std::uint64_t owned = 0;
-                std::uint64_t req = 0;
-                std::uint64_t cb = 0;
-                for (std::size_t v = 0; v < op.vcs.size(); ++v) {
-                    if (op.vcs[v].owner.kind !=
-                        Router::VcOwner::Kind::None)
-                        owned |= std::uint64_t{1} << v;
-                    if (reqRecount[p * static_cast<std::size_t>(
-                                           rt.numVcs_) +
-                                   v] > 0)
-                        req |= std::uint64_t{1} << v;
-                }
-                if (rt.cfg_.arch == RouterArch::CentralBuffer)
-                    for (std::size_t v = 0; v < op.vcs.size(); ++v)
-                        if (!rt.cbQueues_[p * static_cast<std::size_t>(
-                                                  rt.numVcs_) +
-                                          v]
-                                 .flits.empty())
-                            cb |= std::uint64_t{1} << v;
-                if (op.ownedMask != owned || op.reqMask != req ||
-                    op.cbMask != cb) {
-                    oss << "router " << rt.id_ << " output port " << p
-                        << ": sweep masks diverged (owned "
-                        << op.ownedMask << "/" << owned << ", req "
-                        << op.reqMask << "/" << req << ", cb "
-                        << op.cbMask << "/" << cb << ")";
-                    return fail(oss.str());
-                }
+        }
+        if (rt.reqCount_ != reqRecount) {
+            oss << "router " << rt.id_
+                << ": requester refcounts diverged from recount";
+            return fail(oss.str());
+        }
+        for (std::size_t p = 0; p < rt.outputs_.size(); ++p) {
+            const Router::OutputPort &op = rt.outputs_[p];
+            std::uint64_t owned = 0;
+            std::uint64_t req = 0;
+            std::uint64_t cb = 0;
+            for (std::size_t v = 0; v < op.vcs.size(); ++v) {
+                if (op.vcs[v].owner.kind != Router::VcOwner::Kind::None)
+                    owned |= std::uint64_t{1} << v;
+                if (reqRecount[p * numVcs + v] > 0)
+                    req |= std::uint64_t{1} << v;
+            }
+            if (rt.cfg_.arch == RouterArch::CentralBuffer)
+                for (std::size_t v = 0; v < op.vcs.size(); ++v)
+                    if (!rt.cbQueues_[p * numVcs + v].flits.empty())
+                        cb |= std::uint64_t{1} << v;
+            if (op.ownedMask != owned || op.reqMask != req ||
+                op.cbMask != cb) {
+                oss << "router " << rt.id_ << " output port " << p
+                    << ": sweep masks diverged (owned "
+                    << op.ownedMask << "/" << owned << ", req "
+                    << op.reqMask << "/" << req << ", cb "
+                    << op.cbMask << "/" << cb << ")";
+                return fail(oss.str());
             }
         }
 

@@ -28,23 +28,20 @@ WakeCalendar::WakeCalendar(int routers, int portWords, int nodes,
 Network::Network(const NocTopology &topo, const RouterConfig &router,
                  const LinkConfig &link, RoutingMode mode,
                  std::uint64_t seed, const FaultPlan &faults)
-    : topo_(std::make_shared<const NocTopology>(topo)),
-      routerCfg_(router), linkCfg_(link)
+    : Network(std::make_shared<const NocTopology>(topo), router, link,
+              mode, seed, faults)
 {
-    SNOC_ASSERT(linkCfg_.hopsPerCycle >= 1, "H must be >= 1");
-    build(seed, mode, faults);
 }
 
 Network::Network(std::shared_ptr<const NocTopology> topo,
                  const RouterConfig &router, const LinkConfig &link,
                  RoutingMode mode, std::uint64_t seed,
-                 const FaultPlan &faults,
-                 std::shared_ptr<const ShortestPaths> sharedPaths)
+                 const FaultPlan &faults)
     : topo_(std::move(topo)), routerCfg_(router), linkCfg_(link)
 {
     SNOC_ASSERT(topo_ != nullptr, "null shared topology");
     SNOC_ASSERT(linkCfg_.hopsPerCycle >= 1, "H must be >= 1");
-    build(seed, mode, faults, std::move(sharedPaths));
+    build(seed, mode, faults);
 }
 
 int
@@ -56,17 +53,14 @@ Network::linkLatencyFor(int distance) const
 
 void
 Network::build(std::uint64_t seed, RoutingMode mode,
-               const FaultPlan &faults,
-               std::shared_ptr<const ShortestPaths> sharedPaths)
+               const FaultPlan &faults)
 {
     // A flit sent at cycle t must land at t + 1 or later: the
     // calendar has already visited cycle t's arrivals.
     SNOC_ASSERT(routerCfg_.pipelineCycles >= 1,
                 "router pipeline must be >= 1 cycle");
     routing_ = makeRouting(*topo_, mode, seed, faults.active());
-    paths_ = sharedPaths
-                 ? std::move(sharedPaths)
-                 : std::make_shared<const ShortestPaths>(topo_->routers());
+    paths_ = topo_->paths();
 
     const Graph &g = topo_->routers();
     routers_.reserve(static_cast<std::size_t>(g.numVertices()));

@@ -188,7 +188,8 @@ class Network : public NetworkState
 {
   public:
     /**
-     * @param topo    topology (copied; self-contained afterwards)
+     * @param topo    topology (copied, sharing its path table;
+     *                self-contained afterwards)
      * @param router  router microarchitecture
      * @param link    wire configuration
      * @param mode    routing mode
@@ -204,19 +205,18 @@ class Network : public NetworkState
             std::uint64_t seed = 7, const FaultPlan &faults = {});
 
     /**
-     * Shared-structure constructor: the topology (and optionally the
-     * fault-free ShortestPaths table) is shared read-only instead of
-     * copied, so N same-topology instances — TopologyCache users and
-     * BatchedNetwork lanes — pay for one copy total. Behavior is
-     * bit-identical to the copying constructor; a fault event that
-     * rewrites paths replaces this instance's pointer only
-     * (copy-on-write), leaving the shared table untouched.
+     * Shared-structure constructor: the topology is shared read-only
+     * instead of copied, so N same-topology instances — TopologyCache
+     * users and BatchedNetwork lanes — pay for one copy total.
+     * Behavior is bit-identical to the copying constructor. Either
+     * way the Network and its table routing scheme route from the
+     * topology's fault-free path table; a fault event builds a
+     * private live table for both, leaving the topology's untouched.
      */
     Network(std::shared_ptr<const NocTopology> topo,
             const RouterConfig &router, const LinkConfig &link = {},
             RoutingMode mode = RoutingMode::Minimal,
-            std::uint64_t seed = 7, const FaultPlan &faults = {},
-            std::shared_ptr<const ShortestPaths> sharedPaths = nullptr);
+            std::uint64_t seed = 7, const FaultPlan &faults = {});
 
     const NocTopology &topology() const { return *topo_; }
     Cycle now() const { return now_; }
@@ -367,7 +367,9 @@ class Network : public NetworkState
     RouterConfig routerCfg_;
     LinkConfig linkCfg_;
     std::unique_ptr<RoutingAlgorithm> routing_;
-    std::shared_ptr<const ShortestPaths> paths_; //!< for pathOccupancy
+    /** The topology's path table, or the live one after a fault
+     *  event (pathOccupancy, reachability checks). */
+    std::shared_ptr<const ShortestPaths> paths_;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<FlitChannel>> channels_;
     // Router woken by each channel's in-flight flits / credits.
@@ -411,8 +413,7 @@ class Network : public NetworkState
         chanIndexByPtr_; //!< purge: router port -> channel index
 
     void build(std::uint64_t seed, RoutingMode mode,
-               const FaultPlan &faults,
-               std::shared_ptr<const ShortestPaths> sharedPaths = nullptr);
+               const FaultPlan &faults);
     // Injection counters go through the parameter so sharded callers
     // can direct them into per-shard counters (serial callers pass
     // *counters_).

@@ -17,7 +17,9 @@ Router::Router(int id, const RouterConfig &cfg,
     numVcs_ = cfg_.numVcs > 0 ? cfg_.numVcs : routing.numVcs();
     SNOC_ASSERT(numVcs_ >= routing.numVcs(),
                 "router has fewer VCs than the routing scheme needs");
-    masksEnabled_ = numVcs_ <= 64;
+    if (numVcs_ > 64)
+        fatal("router ", id_, " needs ", numVcs_,
+              " VCs; the per-port VC masks hold at most 64");
 }
 
 int
@@ -255,18 +257,9 @@ Router::routeHeads(Cycle now)
         addRequest(ivc.outPort, ivc.outVc);
     };
 
-    for (std::size_t p = 0; p < inputs_.size(); ++p) {
-        InputPort &ip = inputs_[p];
-        if (masksEnabled_) {
-            for (std::uint64_t m = ip.occMask; m; m &= m - 1)
-                routeVc(ip, static_cast<std::size_t>(
-                                std::countr_zero(m)));
-        } else {
-            for (std::size_t v = 0; v < ip.vcs.size(); ++v)
-                if (!ip.vcs[v].buffer.empty())
-                    routeVc(ip, v);
-        }
-    }
+    for (InputPort &ip : inputs_)
+        for (std::uint64_t m = ip.occMask; m; m &= m - 1)
+            routeVc(ip, static_cast<std::size_t>(std::countr_zero(m)));
 }
 
 int
@@ -307,9 +300,8 @@ Router::cbIntakeFrom(InputPort &ip, int p, int v, Cycle now)
     q.appender = flit.tail ? kInvalidPacket : pkt;
     bool tail = flit.tail;
     q.flits.push_back(flit);
-    if (masksEnabled_)
-        outputs_[static_cast<std::size_t>(ivc.outPort)].cbMask |=
-            std::uint64_t{1} << ivc.outVc;
+    outputs_[static_cast<std::size_t>(ivc.outPort)].cbMask |=
+        std::uint64_t{1} << ivc.outVc;
     if (ip.in)
         returnCredit(ip, v, now);
     inputBusy_[static_cast<std::size_t>(p)] = true;
@@ -339,24 +331,13 @@ Router::cbIntake(Cycle now)
         InputPort &ip = inputs_[static_cast<std::size_t>(p)];
         if (inputBusy_[static_cast<std::size_t>(p)])
             continue;
-        if (masksEnabled_) {
-            for (std::uint64_t m = ip.occMask; m; m &= m - 1) {
-                int v = std::countr_zero(m);
-                const InputVc &ivc =
-                    ip.vcs[static_cast<std::size_t>(v)];
-                if (!ivc.routed || !ivc.viaCb)
-                    continue;
-                if (cbIntakeFrom(ip, p, v, now))
-                    return;
-            }
-        } else {
-            for (std::size_t v = 0; v < ip.vcs.size(); ++v) {
-                const InputVc &ivc = ip.vcs[v];
-                if (!ivc.routed || !ivc.viaCb || ivc.buffer.empty())
-                    continue;
-                if (cbIntakeFrom(ip, p, static_cast<int>(v), now))
-                    return;
-            }
+        for (std::uint64_t m = ip.occMask; m; m &= m - 1) {
+            int v = std::countr_zero(m);
+            const InputVc &ivc = ip.vcs[static_cast<std::size_t>(v)];
+            if (!ivc.routed || !ivc.viaCb)
+                continue;
+            if (cbIntakeFrom(ip, p, v, now))
+                return;
         }
     }
 }
@@ -397,16 +378,10 @@ bool
 Router::tryGrantOutput(int port, Cycle now)
 {
     OutputPort &op = outputs_[static_cast<std::size_t>(port)];
-    if (!masksEnabled_) {
-        for (int kv = 0; kv < numVcs_; ++kv)
-            if (tryGrantOutputVc(port, (op.rrVc + kv) % numVcs_, now))
-                return true;
-        return false;
-    }
     // A VC can act only if it is owned, requested by a routed input
-    // VC, or backed by buffered CB flits; everything else is a
-    // provable no-op for the dense sweep too. Visit candidates in
-    // the exact round-robin order rrVc, rrVc+1, ..., rrVc-1.
+    // VC, or backed by buffered CB flits; trying any other VC is a
+    // provable no-op. Visit candidates in the exact round-robin
+    // order rrVc, rrVc+1, ..., rrVc-1.
     std::uint64_t cand = op.ownedMask | op.reqMask | op.cbMask;
     if (!cand)
         return false;
@@ -434,13 +409,12 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
     // busy flag in step — one copy each so they cannot desync.
     auto releaseOwner = [&] {
         ovc.owner = VcOwner();
-        if (masksEnabled_)
-            op.ownedMask &= ~(std::uint64_t{1} << vc);
+        op.ownedMask &= ~(std::uint64_t{1} << vc);
     };
     auto popCbAndSend = [&](CbQueue &q) {
         Flit flit = q.flits.front();
         q.flits.pop_front();
-        if (masksEnabled_ && q.flits.empty())
+        if (q.flits.empty())
             op.cbMask &= ~(std::uint64_t{1} << vc);
         ++counters_->cbReads;
         --cbOccupied_;
@@ -510,8 +484,7 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         if (!q.flits.empty() && q.flits.front().head) {
             ovc.owner.kind = VcOwner::Kind::Cb;
             ovc.owner.pkt = q.flits.front().pkt;
-            if (masksEnabled_)
-                op.ownedMask |= std::uint64_t{1} << vc;
+            op.ownedMask |= std::uint64_t{1} << vc;
             popCbAndSend(q);
             return true;
         }
@@ -545,8 +518,7 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         ovc.owner.inputPort = ipIdx;
         ovc.owner.inputVc = static_cast<int>(v);
         ovc.owner.pkt = flit.pkt;
-        if (masksEnabled_)
-            op.ownedMask |= std::uint64_t{1} << vc;
+        op.ownedMask |= std::uint64_t{1} << vc;
         ++pool_->get(flit.pkt).hops;
         bool tail = flit.tail;
         sendFlit(port, vc, flit, now, false);
@@ -565,16 +537,10 @@ Router::tryGrantOutputVc(int port, int vc, Cycle now)
         if (inputBusy_[static_cast<std::size_t>(ipIdx)])
             continue;
         InputPort &ip = inputs_[static_cast<std::size_t>(ipIdx)];
-        if (masksEnabled_) {
-            for (std::uint64_t m = ip.occMask; m; m &= m - 1)
-                if (tryRequester(ipIdx, static_cast<std::size_t>(
-                                            std::countr_zero(m))))
-                    return true;
-        } else {
-            for (std::size_t v = 0; v < ip.vcs.size(); ++v)
-                if (!ip.vcs[v].buffer.empty() && tryRequester(ipIdx, v))
-                    return true;
-        }
+        for (std::uint64_t m = ip.occMask; m; m &= m - 1)
+            if (tryRequester(ipIdx, static_cast<std::size_t>(
+                                        std::countr_zero(m))))
+                return true;
     }
 
     return false;
@@ -625,15 +591,9 @@ Router::cbDivert(Cycle now)
 
     for (std::size_t ipIdx = 0; ipIdx < inputs_.size(); ++ipIdx) {
         InputPort &ip = inputs_[ipIdx];
-        if (masksEnabled_) {
-            for (std::uint64_t m = ip.occMask; m; m &= m - 1)
-                considerVc(ip, ipIdx, static_cast<std::size_t>(
-                                          std::countr_zero(m)));
-        } else {
-            for (std::size_t v = 0; v < ip.vcs.size(); ++v)
-                if (!ip.vcs[v].buffer.empty())
-                    considerVc(ip, ipIdx, v);
-        }
+        for (std::uint64_t m = ip.occMask; m; m &= m - 1)
+            considerVc(ip, ipIdx,
+                       static_cast<std::size_t>(std::countr_zero(m)));
     }
 }
 
@@ -692,8 +652,6 @@ Router::drainEjection(Cycle now, std::vector<PacketHandle> &delivered)
 void
 Router::rebuildSweepState()
 {
-    if (!masksEnabled_)
-        return;
     std::fill(reqCount_.begin(), reqCount_.end(), 0);
     for (OutputPort &op : outputs_) {
         op.ownedMask = 0;

@@ -48,8 +48,10 @@
  *    matters most under UGAL's numVcs = 2 * diameter where almost
  *    every VC is empty at any instant. Mask iteration preserves the
  *    exact round-robin visit order, so arbitration is bit-identical
- *    to the dense sweep (enforced by the hotpath goldens); routers
- *    with more than 64 VCs fall back to the dense sweep.
+ *    to a sweep over every VC (enforced by the hotpath goldens).
+ *    Masks are single words, so a router with more than 64 VCs is a
+ *    FatalError at construction; no named topology and routing mode
+ *    needs more than 50.
  *
  * The fault purge rewrites router state wholesale and then calls
  * rebuildSweepState(); Network::auditInvariants() recounts every
@@ -256,7 +258,6 @@ class Router
     WakeCalendar *cal_ = nullptr; //!< null while sharded
     int numVcs_;
     int numNetPorts_ = 0;
-    bool masksEnabled_ = true; //!< numVcs_ fits one mask word
 
     std::vector<InputPort> inputs_;
     std::vector<OutputPort> outputs_;
@@ -323,29 +324,24 @@ class Router
      *  purge returns credits over the normal credit wires. */
     void rebuildSweepState();
 
-    // --- incremental mask maintenance (no-ops when masks are
-    //     disabled by a > 64-VC configuration) ---
+    // --- incremental mask maintenance ---
 
     void
     markVcOccupied(InputPort &ip, int vc)
     {
-        if (masksEnabled_)
-            ip.occMask |= std::uint64_t{1} << vc;
+        ip.occMask |= std::uint64_t{1} << vc;
     }
 
     void
     markVcDrained(InputPort &ip, int vc)
     {
-        if (masksEnabled_ &&
-            ip.vcs[static_cast<std::size_t>(vc)].buffer.empty())
+        if (ip.vcs[static_cast<std::size_t>(vc)].buffer.empty())
             ip.occMask &= ~(std::uint64_t{1} << vc);
     }
 
     void
     addRequest(int port, int vc)
     {
-        if (!masksEnabled_)
-            return;
         std::size_t i = static_cast<std::size_t>(port) *
                             static_cast<std::size_t>(numVcs_) +
                         static_cast<std::size_t>(vc);
@@ -357,8 +353,6 @@ class Router
     void
     dropRequest(int port, int vc)
     {
-        if (!masksEnabled_)
-            return;
         std::size_t i = static_cast<std::size_t>(port) *
                             static_cast<std::size_t>(numVcs_) +
                         static_cast<std::size_t>(vc);

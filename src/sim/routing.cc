@@ -11,24 +11,62 @@ namespace snoc {
 namespace {
 
 /**
- * BFS-table static minimum routing with hop-indexed VCs: hop i uses
- * VC min(i, numVcs-1). Monotonically non-decreasing VCs along any
- * path break all channel-dependency cycles; with numVcs == diameter
- * the assignment is strictly increasing, the paper's VC0/VC1 scheme
- * for diameter-2 Slim NoC.
+ * Shared base of the BFS-table schemes: they route from the
+ * topology's fault-free ShortestPaths table, shared rather than
+ * copied, and swap in the live table a fault event hands them.
  */
-class TableMinimalRouting : public RoutingAlgorithm
+class TableRouting : public RoutingAlgorithm
+{
+  public:
+    int numVcs() const override { return numVcs_; }
+    int maxHops() const override { return maxHops_; }
+
+    bool supportsFaults() const override { return true; }
+
+    void
+    onTopologyChange(std::shared_ptr<const ShortestPaths> live) override
+    {
+        // Degraded diameters may exceed numVcs; VC indices are
+        // clamped in hopVc(), trading the strict VC ordering for
+        // continued operation (see docs/ARCHITECTURE.md).
+        paths_ = std::move(live);
+    }
+
+  protected:
+    TableRouting(const NocTopology &topo, int numVcs, int maxHops)
+        : paths_(topo.paths()), numVcs_(numVcs), maxHops_(maxHops)
+    {
+    }
+
+    /** Hop-indexed VC: hop i uses VC min(i, numVcs - 1). */
+    int
+    hopVc(const Packet &packet) const
+    {
+        return std::min(packet.hops, numVcs_ - 1);
+    }
+
+    std::shared_ptr<const ShortestPaths> paths_;
+    int numVcs_;
+    int maxHops_;
+};
+
+/**
+ * BFS-table static minimum routing with hop-indexed VCs.
+ * Monotonically non-decreasing VCs along any path break all
+ * channel-dependency cycles; with numVcs == diameter the assignment
+ * is strictly increasing, the paper's VC0/VC1 scheme for diameter-2
+ * Slim NoC.
+ */
+class TableMinimalRouting : public TableRouting
 {
   public:
     TableMinimalRouting(const NocTopology &topo, int numVcs)
-        : graph_(topo.routers()),
-          paths_(std::make_unique<ShortestPaths>(graph_)),
-          numVcs_(numVcs), maxHops_(graph_.diameter() + 1)
+        : TableRouting(topo, numVcs, topo.diameter() + 1)
     {
-        SNOC_ASSERT(numVcs_ >= graph_.diameter(),
+        SNOC_ASSERT(numVcs_ >= topo.diameter(),
                     "hop-indexed VCs need numVcs >= diameter for "
                     "strict deadlock freedom (",
-                    numVcs_, " < ", graph_.diameter(), ")");
+                    numVcs_, " < ", topo.diameter(), ")");
     }
 
     RouteDecision
@@ -36,33 +74,8 @@ class TableMinimalRouting : public RoutingAlgorithm
     {
         if (router == packet.dstRouter)
             return {-1, 0};
-        int next = paths_->nextHop(router, packet.dstRouter);
-        int vc = std::min(packet.hops, numVcs_ - 1);
-        return {next, vc};
+        return {paths_->nextHop(router, packet.dstRouter), hopVc(packet)};
     }
-
-    int numVcs() const override { return numVcs_; }
-    int maxHops() const override { return maxHops_; }
-
-    bool supportsFaults() const override { return true; }
-
-    void
-    onTopologyChange(const Graph &live) override
-    {
-        // Degraded diameters may exceed numVcs; VC indices are
-        // clamped in route(), trading the strict VC ordering for
-        // continued operation (see docs/ARCHITECTURE.md).
-        graph_ = live;
-        paths_ = std::make_unique<ShortestPaths>(graph_);
-    }
-
-    const ShortestPaths &paths() const { return *paths_; }
-
-  private:
-    Graph graph_;
-    std::unique_ptr<ShortestPaths> paths_;
-    int numVcs_;
-    int maxHops_;
 };
 
 /** Shared grid helpers for the dimension-ordered schemes. */
@@ -287,14 +300,12 @@ class PfbfRouting : public GridBase
  * diversity (FBF's two dimension orders, tori, PFBF) the scheme
  * spreads load as expected.
  */
-class MinAdaptiveRouting : public RoutingAlgorithm
+class MinAdaptiveRouting : public TableRouting
 {
   public:
     MinAdaptiveRouting(const NocTopology &topo, int numVcs)
-        : graph_(topo.routers()),
-          paths_(std::make_unique<ShortestPaths>(graph_)),
-          numVcs_(std::max(numVcs, graph_.diameter())),
-          maxHops_(graph_.diameter() + 1)
+        : TableRouting(topo, std::max(numVcs, topo.diameter()),
+                       topo.diameter() + 1)
     {
     }
 
@@ -328,28 +339,11 @@ class MinAdaptiveRouting : public RoutingAlgorithm
                 }
             }
         }
-        int vc = std::min(packet.hops, numVcs_ - 1);
-        return {best, vc};
-    }
-
-    int numVcs() const override { return numVcs_; }
-    int maxHops() const override { return maxHops_; }
-
-    bool supportsFaults() const override { return true; }
-
-    void
-    onTopologyChange(const Graph &live) override
-    {
-        graph_ = live;
-        paths_ = std::make_unique<ShortestPaths>(graph_);
+        return {best, hopVc(packet)};
     }
 
   private:
-    Graph graph_;
-    std::unique_ptr<ShortestPaths> paths_;
     const NetworkState *state_ = nullptr;
-    int numVcs_;
-    int maxHops_;
 };
 
 /**
@@ -360,15 +354,13 @@ class MinAdaptiveRouting : public RoutingAlgorithm
  * paths. In-flight, packets follow minimal routes to the intermediate
  * then to the destination, with strictly increasing hop VCs.
  */
-class UgalRouting : public RoutingAlgorithm
+class UgalRouting : public TableRouting
 {
   public:
     UgalRouting(const NocTopology &topo, bool global, std::uint64_t seed)
-        : graph_(topo.routers()),
-          paths_(std::make_unique<ShortestPaths>(graph_)),
-          global_(global), rng_(seed),
-          numVcs_(2 * graph_.diameter()),
-          maxHops_(2 * graph_.diameter() + 2)
+        : TableRouting(topo, 2 * topo.diameter(),
+                       2 * topo.diameter() + 2),
+          global_(global), rng_(seed)
     {
     }
 
@@ -379,7 +371,7 @@ class UgalRouting : public RoutingAlgorithm
         packet.phase = 0;
         int src = packet.srcRouter;
         int dst = packet.dstRouter;
-        if (src == dst || graph_.numVertices() < 3)
+        if (src == dst || paths_->numVertices() < 3)
             return;
         // One candidate intermediate per packet; a degenerate draw
         // (src or dst itself) falls back to minimal routing for this
@@ -387,7 +379,7 @@ class UgalRouting : public RoutingAlgorithm
         // cost at exactly one draw.
         int inter = static_cast<int>(
             rng_.nextUint(static_cast<std::uint64_t>(
-                graph_.numVertices())));
+                paths_->numVertices())));
         if (inter == src || inter == dst)
             return; // degenerate detour: stay minimal this time
 
@@ -434,30 +426,12 @@ class UgalRouting : public RoutingAlgorithm
         int target = (packet.phase == 0 && packet.valiantRouter >= 0)
                          ? packet.valiantRouter
                          : packet.dstRouter;
-        int next = paths_->nextHop(router, target);
-        int vc = std::min(packet.hops, numVcs_ - 1);
-        return {next, vc};
-    }
-
-    int numVcs() const override { return numVcs_; }
-    int maxHops() const override { return maxHops_; }
-
-    bool supportsFaults() const override { return true; }
-
-    void
-    onTopologyChange(const Graph &live) override
-    {
-        graph_ = live;
-        paths_ = std::make_unique<ShortestPaths>(graph_);
+        return {paths_->nextHop(router, target), hopVc(packet)};
     }
 
   private:
-    Graph graph_;
-    std::unique_ptr<ShortestPaths> paths_;
     bool global_;
     Rng rng_;
-    int numVcs_;
-    int maxHops_;
 };
 
 /**
@@ -562,7 +536,7 @@ makeRouting(const NocTopology &topo, RoutingMode mode, std::uint64_t seed,
     }
     if (mode == RoutingMode::MinAdaptive) {
         return std::make_unique<MinAdaptiveRouting>(
-            topo, std::max(2, topo.routers().diameter()));
+            topo, std::max(2, topo.diameter()));
     }
     if (mode == RoutingMode::XyAdaptive) {
         SNOC_ASSERT(kind == Kind::Fbf,
@@ -580,7 +554,7 @@ makeRouting(const NocTopology &topo, RoutingMode mode, std::uint64_t seed,
         (kind == Kind::Mesh || kind == Kind::Torus ||
          kind == Kind::Fbf || kind == Kind::Pfbf)) {
         return std::make_unique<TableMinimalRouting>(
-            topo, std::max(2, topo.routers().diameter()));
+            topo, std::max(2, topo.diameter()));
     }
 
     switch (kind) {
@@ -599,7 +573,7 @@ makeRouting(const NocTopology &topo, RoutingMode mode, std::uint64_t seed,
       case Kind::Generic:
       default:
         return std::make_unique<TableMinimalRouting>(
-            topo, std::max(2, topo.routers().diameter()));
+            topo, std::max(2, topo.diameter()));
     }
 }
 

@@ -84,20 +84,26 @@ class RoutingAlgorithm
 
     /**
      * True when the scheme can reroute around dead links: it routes
-     * from tables that onTopologyChange() rebuilds. Algebraic grid
+     * from the table that onTopologyChange() swaps. Algebraic grid
      * schemes (XY, dateline torus, FBF, PFBF) return false; the
      * fault-aware makeRouting() replaces them with table routing.
      */
     virtual bool supportsFaults() const { return false; }
 
     /**
-     * Rebuild routing tables against the degraded (or repaired)
-     * router graph. Called by the Network after each fault event;
-     * `live` holds only the currently-alive links. Unreachable
-     * destinations get no next hop — the Network purges packets that
-     * would need one before any route() call can see them.
+     * Route from now on over `live`, the path table of the degraded
+     * (or repaired) router graph. Called by the Network after each
+     * fault event with the one table it built for that event and
+     * keeps itself; `live` covers only the currently-alive links.
+     * Unreachable destinations get no next hop — the Network purges
+     * packets that would need one before any route() call can see
+     * them.
      */
-    virtual void onTopologyChange(const Graph &live) { (void)live; }
+    virtual void
+    onTopologyChange(std::shared_ptr<const ShortestPaths> live)
+    {
+        (void)live;
+    }
 };
 
 /** Adaptive-routing selector for makeRouting(). */
@@ -126,7 +132,8 @@ const std::vector<std::string> &routingModeNames();
 /**
  * Build the routing algorithm for a topology.
  *
- * @param topo       the topology (its RoutingHint selects the scheme)
+ * @param topo       the topology (its RoutingHint selects the scheme;
+ *                   table schemes share its path table)
  * @param mode       minimal or one of the adaptive modes
  * @param seed       rng seed for adaptive tie-breaks / Valiant picks
  * @param faultAware require a scheme that supportsFaults(): algebraic

@@ -31,11 +31,12 @@ NocTopology::NocTopology(std::string name, Graph routers,
     }
     numNodes_ = firstNode_.back();
     SNOC_ASSERT(numNodes_ > 0, "topology has no nodes");
-    SNOC_ASSERT(routers_.isConnected(), "router graph disconnected");
+    paths_ = std::make_shared<const ShortestPaths>(routers_);
+    SNOC_ASSERT(diameter() >= 0, "router graph disconnected");
     if (expectedDiameter >= 0) {
-        int d = routers_.diameter();
-        SNOC_ASSERT(d == expectedDiameter, "topology ", name_,
-                    " diameter ", d, " != expected ", expectedDiameter);
+        SNOC_ASSERT(diameter() == expectedDiameter, "topology ", name_,
+                    " diameter ", diameter(), " != expected ",
+                    expectedDiameter);
     }
 }
 

@@ -7,17 +7,25 @@
  * die grid, a node-to-router attachment, and the router cycle time
  * the paper assigns per radix class (Section 5.1: 0.4 ns for low-radix
  * T2D/CM, 0.5 ns for SN/PFBF, 0.6 ns for high-radix FBF).
+ *
+ * The constructor also builds the router graph's fault-free
+ * ShortestPaths table, once. Copies and moves of a topology share
+ * that table, and so does every Network, batch lane and table routing
+ * scheme built on it; a fault event builds a private live table
+ * instead of touching this one.
  */
 
 #ifndef SNOC_TOPO_NOC_TOPOLOGY_HH
 #define SNOC_TOPO_NOC_TOPOLOGY_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
 #include "core/layout.hh"
 #include "graph/graph.hh"
+#include "graph/shortest_paths.hh"
 
 namespace snoc {
 
@@ -60,6 +68,9 @@ class NocTopology
      * @param cycleTimeNs   router clock period
      * @param expectedDiameter the topology's nominal diameter, used
      *                      for validation; -1 to skip the check
+     *
+     * Builds the fault-free path table, which also checks that the
+     * router graph is connected.
      */
     NocTopology(std::string name, Graph routers, Placement placement,
                 std::vector<int> nodesPerRouter, double cycleTimeNs,
@@ -96,8 +107,16 @@ class NocTopology
     /** The nodes attached to a router: [first, first + count). */
     int firstNodeOfRouter(int router) const;
 
-    /** Hop-count diameter of the router graph. */
-    int diameter() const { return routers_.diameter(); }
+    /** The router graph's fault-free path table, shared by every
+     *  copy of this topology. */
+    const std::shared_ptr<const ShortestPaths> &
+    paths() const
+    {
+        return paths_;
+    }
+
+    /** Hop-count diameter of the router graph (O(1)). */
+    int diameter() const { return paths_->diameter(); }
 
     /**
      * Layout-cut bisection link count: links whose L-route crosses
@@ -116,6 +135,7 @@ class NocTopology
     int numNodes_;
     double cycleTimeNs_;
     RoutingHint routingHint_;
+    std::shared_ptr<const ShortestPaths> paths_;
 };
 
 } // namespace snoc

@@ -8,7 +8,9 @@
  * handful of ids hundreds of times. The cache builds each id once,
  * under a mutex, and hands out a stable const reference that is safe
  * to share across ExperimentRunner worker threads: NocTopology is
- * immutable after construction and Network copies it anyway.
+ * immutable after construction. That includes its fault-free path
+ * table, so every Network built from a cached entry (a copy, or a
+ * shared handle) routes from the one table built with it.
  */
 
 #ifndef SNOC_TOPO_TOPOLOGY_CACHE_HH

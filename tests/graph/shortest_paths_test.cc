@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,25 @@ TEST(ShortestPaths, DeterministicTieBreakLowestId)
     ASSERT_EQ(hops.size(), 2u);
     EXPECT_EQ(hops[0], 1);
     EXPECT_EQ(hops[1], 3);
+}
+
+TEST(ShortestPaths, OutlivesTheGraphItWasBuiltFrom)
+{
+    // The table keeps its own adjacency, so one built from a
+    // temporary still walks neighbor lists after the graph is gone.
+    ShortestPaths sp(grid3x3());
+    EXPECT_EQ(sp.minimalNextHops(0, 4), (std::vector<int>{1, 3}));
+    EXPECT_EQ(sp.minimalNextHops(8, 0), (std::vector<int>{5, 7}));
+    EXPECT_EQ(sp.minimalNextHops(4, 5), (std::vector<int>{5}));
+    EXPECT_EQ(sp.diameter(), 4);
+}
+
+TEST(ShortestPaths, DiameterIsMinusOneWhenDisconnected)
+{
+    Graph g(3);
+    g.addEdge(0, 1);
+    EXPECT_EQ(ShortestPaths(g).diameter(), -1);
+    EXPECT_EQ(ShortestPaths(Graph(1)).diameter(), 0);
 }
 
 TEST(ShortestPaths, MinimalNextHopsEmptyForSelf)

@@ -62,6 +62,20 @@ drain(Network &net, int limit = 30000)
     return net.flitsInFlight() + net.sourceQueueDepth() == 0;
 }
 
+/** Hops of one packet from router a's first node to router b's,
+ *  on a fresh fault-free network over `topo`. */
+int
+deliveredHops(const NocTopology &topo, int a, int b)
+{
+    Network net(topo, RouterConfig::named("EB-Var"));
+    int hops = -1;
+    net.setDeliveryCallback([&hops](const Packet &p) { hops = p.hops; });
+    net.offerPacket(topo.firstNodeOfRouter(a), topo.firstNodeOfRouter(b),
+                    1);
+    EXPECT_TRUE(drain(net));
+    return hops;
+}
+
 /** Delivery-stream fingerprint (id, endpoints, timestamps, hops). */
 struct Stream
 {
@@ -205,6 +219,12 @@ TEST(FaultInjection, RepairRestoresService)
             EXPECT_LT(net.liveTopology().numEdges(),
                       topo.routers().numEdges());
             checker.check("while the link is down");
+            // The fault gave `net` a private live table; the
+            // topology's shared one is untouched, so a fault-free
+            // network on it still takes the direct a--b link (one
+            // link hop plus the ejection stage).
+            EXPECT_EQ(topo.paths()->distance(a, b), 1);
+            EXPECT_EQ(deliveredHops(topo, a, b), 2);
         }
     }
     EXPECT_EQ(net.liveTopology().numEdges(),

@@ -254,6 +254,23 @@ TEST(Network, CountersAreConsistent)
     EXPECT_LT(std::abs(diff), 0.01 * static_cast<double>(c.bufferWrites));
 }
 
+TEST(Network, MoreThan64VcsIsFatal)
+{
+    // The router's per-port VC masks are single 64-bit words.
+    RouterConfig rc = RouterConfig::named("EB-Var");
+    rc.numVcs = 65;
+    try {
+        Network net(makeNamedTopology("sn_54"), rc);
+        FAIL() << "a 65-VC router was built";
+    } catch (const FatalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("router 0"), std::string::npos) << what;
+        EXPECT_NE(what.find("65 VCs"), std::string::npos) << what;
+    }
+    rc.numVcs = 64;
+    EXPECT_NO_THROW(Network(makeNamedTopology("sn_54"), rc));
+}
+
 TEST(Network, Clos1296SerialBatchedAndShardedAgree)
 {
     // The 13 spines of clos_1296 have 162 network ports each, so the

@@ -1,10 +1,15 @@
 /**
  * @file
  * Baseline topology tests: the exact router counts, network radix k',
- * router radix k, node counts and diameters of Table 4.
+ * router radix k, node counts and diameters of Table 4, and the one
+ * path table a topology shares with its copies.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "common/log.hh"
 #include "topo/table4.hh"
@@ -124,6 +129,9 @@ TEST(Topologies, NodeRouterMappingRoundTrip)
     // and never lands on a router without nodes.
     for (const auto &id : namedTopologyIds()) {
         NocTopology t = makeNamedTopology(id);
+        // The O(1) diameter read from the path table agrees with a
+        // from-scratch sweep of the router graph.
+        EXPECT_EQ(t.diameter(), t.routers().diameter()) << id;
         std::vector<int> firstNode;
         for (int r = 0; r < t.numRouters(); ++r)
             firstNode.push_back(t.firstNodeOfRouter(r));
@@ -138,6 +146,44 @@ TEST(Topologies, NodeRouterMappingRoundTrip)
             int first = t.firstNodeOfRouter(r);
             EXPECT_GE(n, first) << id;
             EXPECT_LT(n, first + t.concentrationOf(r)) << id;
+        }
+    }
+}
+
+TEST(Topologies, CopiesShareOnePathTable)
+{
+    auto original =
+        std::make_unique<NocTopology>(makeNamedTopology("sn_subgr_200"));
+    std::shared_ptr<const ShortestPaths> table = original->paths();
+    ASSERT_NE(table, nullptr);
+    NocTopology copy = *original;
+    NocTopology second = copy;
+    EXPECT_EQ(copy.paths(), table);
+    EXPECT_EQ(second.paths(), table);
+    // A factory result after a move keeps the table it was built
+    // with; the table holds no pointer into the moved-from graph.
+    NocTopology moved = std::move(second);
+    EXPECT_EQ(moved.paths(), table);
+
+    // Destroy the original: the copy still routes correctly, down to
+    // the neighbor walk of minimalNextHops.
+    original.reset();
+    const Graph &g = copy.routers();
+    const ShortestPaths &sp = *copy.paths();
+    for (int s = 0; s < g.numVertices(); ++s) {
+        std::vector<int> dist = g.bfsDistances(s);
+        for (int t = 0; t < g.numVertices(); ++t) {
+            ASSERT_EQ(sp.distance(t, s), dist[static_cast<std::size_t>(t)]);
+            if (t == s)
+                continue;
+            std::vector<int> expect;
+            for (int w : g.neighbors(t))
+                if (dist[static_cast<std::size_t>(w)] ==
+                    dist[static_cast<std::size_t>(t)] - 1)
+                    expect.push_back(w);
+            ASSERT_EQ(sp.minimalNextHops(t, s), expect) << t << "->" << s;
+            EXPECT_EQ(sp.nextHop(t, s),
+                      *std::min_element(expect.begin(), expect.end()));
         }
     }
 }

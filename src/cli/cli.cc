@@ -445,6 +445,11 @@ cmdRun(const std::vector<std::string> &args, std::ostream &out,
             makeResultSink(format, out);
         results = runPlanReport(plan, *sink, opts);
     }
+    // The journal fsyncs on its own thread: wait for the last sync,
+    // so a failed one fails the run before the journal is offered
+    // for --resume.
+    if (journal)
+        journal->close();
 
     std::size_t jobsFailed = 0;
     for (const JobResult &r : results)

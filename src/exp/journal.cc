@@ -6,8 +6,10 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/hash.hh"
 #include "common/log.hh"
@@ -15,6 +17,32 @@
 #include "exp/serialize.hh"
 
 namespace snoc {
+
+namespace {
+
+/**
+ * Make a new file's directory entry durable: fsyncing the file alone
+ * does not, so a power loss could drop the whole journal.
+ */
+void
+syncParentDirectory(const std::string &path)
+{
+    std::filesystem::path dir = std::filesystem::path(path).parent_path();
+    if (dir.empty())
+        dir = ".";
+    int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0)
+        fatal("cannot open journal directory '", dir.string(),
+              "': ", std::strerror(errno));
+    int rc = ::fsync(fd);
+    int err = errno;
+    ::close(fd);
+    if (rc != 0)
+        fatal("cannot fsync journal directory '", dir.string(),
+              "': ", std::strerror(err));
+}
+
+} // namespace
 
 std::string
 planHash(const ExperimentPlan &plan)
@@ -35,23 +63,77 @@ ResultJournal::ResultJournal(std::string path,
         fatal("cannot open journal '", path_,
               "': ", std::strerror(errno));
 
-    struct stat st{};
-    if (::fstat(fd_, &st) != 0)
-        fatal("cannot stat journal '", path_,
-              "': ", std::strerror(errno));
-    if (st.st_size == 0) {
-        JsonValue header = JsonValue::object();
-        header.set("snocJournal", JsonValue::number(1));
-        header.set("plan", JsonValue::string(planHash));
-        header.set("stamp", JsonValue::string(resultStoreStamp()));
-        writeLine(header.dump(-1));
+    try {
+        struct stat st{};
+        if (::fstat(fd_, &st) != 0)
+            fatal("cannot stat journal '", path_,
+                  "': ", std::strerror(errno));
+        if (st.st_size == 0) {
+            JsonValue header = JsonValue::object();
+            header.set("snocJournal", JsonValue::number(1));
+            header.set("plan", JsonValue::string(planHash));
+            header.set("stamp", JsonValue::string(resultStoreStamp()));
+            writeLine(header.dump(-1));
+            if (::fsync(fd_) != 0)
+                fatal("cannot fsync journal '", path_,
+                      "': ", std::strerror(errno));
+            syncParentDirectory(path_);
+        }
+        syncer_ = std::thread([this] { syncLoop(); });
+    } catch (...) {
+        ::close(fd_);
+        throw;
     }
 }
 
 ResultJournal::~ResultJournal()
 {
-    if (fd_ >= 0)
-        ::close(fd_);
+    if (int err = stopSyncing())
+        warn("cannot fsync journal '", path_,
+             "': ", std::strerror(err));
+    ::close(fd_);
+}
+
+void
+ResultJournal::close()
+{
+    if (int err = stopSyncing())
+        fatal("cannot fsync journal '", path_,
+              "': ", std::strerror(err));
+}
+
+int
+ResultJournal::stopSyncing()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        closing_ = true;
+    }
+    wakeSyncer_.notify_one();
+    if (syncer_.joinable())
+        syncer_.join();
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(syncErrno_, 0);
+}
+
+void
+ResultJournal::syncLoop()
+{
+    // Group commit: one fsync covers every line written since the
+    // last one, and appends keep writing while it runs.
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+        wakeSyncer_.wait(lock, [this] { return unsynced_ || closing_; });
+        if (!unsynced_)
+            return; // closing, and every line is on disk
+        unsynced_ = false;
+        lock.unlock();
+        int rc = ::fsync(fd_);
+        int err = errno;
+        lock.lock();
+        if (rc != 0 && syncErrno_ == 0)
+            syncErrno_ = err;
+    }
 }
 
 void
@@ -69,9 +151,6 @@ ResultJournal::writeLine(const std::string &line)
         }
         off += static_cast<std::size_t>(n);
     }
-    if (::fsync(fd_) != 0)
-        fatal("cannot fsync journal '", path_,
-              "': ", std::strerror(errno));
 }
 
 void
@@ -83,8 +162,17 @@ ResultJournal::append(std::size_t jobIndex, const JobResult &result)
     entry.set("result", toJson(result));
     std::string line = entry.dump(-1);
 
-    std::lock_guard<std::mutex> lock(mutex_);
-    writeLine(line);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (closing_)
+            fatal("journal '", path_, "' is closed");
+        if (syncErrno_ != 0)
+            fatal("cannot fsync journal '", path_,
+                  "': ", std::strerror(syncErrno_));
+        writeLine(line);
+        unsynced_ = true;
+    }
+    wakeSyncer_.notify_one();
 }
 
 std::map<std::size_t, JobResult>

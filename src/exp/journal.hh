@@ -3,12 +3,15 @@
  * Write-ahead result journal: crash-safe record of completed jobs.
  *
  * While a campaign runs, every job that completes successfully is
- * appended to a JSONL journal and fsync'd before the runner moves
- * on, so the set of durable rows is always a prefix-closed subset of
- * the work actually done — no matter when the process dies (SIGKILL
- * included). `snoc run --resume` replays the journal, skips the jobs
- * it already holds, and produces output byte-identical to an
- * uninterrupted run.
+ * appended to a JSONL journal. The line is written to the file before
+ * append() returns, so a SIGKILL loses nothing that was appended: the
+ * set of rows on file is always a prefix-closed subset of the work
+ * actually done. The journal's own sync thread fsyncs the written
+ * lines in groups, outside every lock, so workers never wait on the
+ * disk; a power loss loses at most the last unsynced group, and
+ * `--resume` simply re-runs those jobs. `snoc run --resume` replays
+ * the journal, skips the jobs it already holds, and produces output
+ * byte-identical to an uninterrupted run.
  *
  * Format (one JSON document per line, compact form):
  *
@@ -29,10 +32,12 @@
 #ifndef SNOC_EXP_JOURNAL_HH
 #define SNOC_EXP_JOURNAL_HH
 
+#include <condition_variable>
 #include <cstddef>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 
 #include "exp/experiment_plan.hh"
 
@@ -44,28 +49,51 @@ namespace snoc {
  */
 std::string planHash(const ExperimentPlan &plan);
 
-/** Append-only fsync'd journal of per-job completions. */
+/**
+ * Append-only JSONL journal of per-job completions. Lines are
+ * written synchronously and fsync'd in groups by the journal's sync
+ * thread; a failed fsync is reported by the next append() or by
+ * close().
+ */
 class ResultJournal
 {
   public:
     /**
      * Open `path` for appending. A fresh or truncated-empty file
-     * gets the header line immediately; an existing journal is
-     * appended to as-is (the caller replays + validates it first).
+     * gets the header line immediately, fsync'd together with its
+     * directory entry before the constructor returns; an existing
+     * journal is appended to as-is (the caller replays + validates
+     * it first).
      * @throws FatalError when the file cannot be opened or written
      */
     ResultJournal(std::string path, const std::string &planHash);
+
+    /**
+     * Waits for the final fsync and joins the sync thread. A sync
+     * failure that close() has not reported is printed as a warning.
+     */
     ~ResultJournal();
 
     ResultJournal(const ResultJournal &) = delete;
     ResultJournal &operator=(const ResultJournal &) = delete;
 
     /**
-     * Durably record that plan job `jobIndex` completed with
-     * `result`. Returns only after the entry is written and fsync'd;
-     * thread-safe.
+     * Record that plan job `jobIndex` completed with `result`. The
+     * line is written to the file before this returns (a SIGKILL
+     * cannot lose it); the sync thread fsyncs it shortly after,
+     * together with every line written meanwhile. Thread-safe.
+     * @throws FatalError when the write fails, when an earlier fsync
+     *         failed, or after close()
      */
     void append(std::size_t jobIndex, const JobResult &result);
+
+    /**
+     * Fsync every appended line, stop the sync thread and report how
+     * that went. Call it before telling anyone the journal can seed
+     * a resume.
+     * @throws FatalError when any fsync of this journal failed
+     */
+    void close();
 
     const std::string &path() const { return path_; }
 
@@ -87,9 +115,20 @@ class ResultJournal
   private:
     std::string path_;
     int fd_ = -1;
-    std::mutex mutex_;
+
+    std::mutex mutex_; //!< orders writes; guards the fields below
+    std::condition_variable wakeSyncer_;
+    bool unsynced_ = false; //!< lines written since the last fsync began
+    int syncErrno_ = 0;     //!< first fsync failure, not yet reported
+    bool closing_ = false;  //!< close() or the destructor began
+
+    std::thread syncer_; //!< runs syncLoop(); declared last
 
     void writeLine(const std::string &line);
+    void syncLoop();
+    /** Stop the sync thread after its last fsync; the unreported
+     *  errno of a failed fsync, or 0. */
+    int stopSyncing();
 };
 
 } // namespace snoc

@@ -1,5 +1,8 @@
 #include "exp/result_store.hh"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -22,6 +25,10 @@ namespace {
 // Bumping this invalidates every existing store (and journal) when
 // the entry schema itself changes, independently of code versions.
 constexpr const char *kStoreSchema = "snoc-store-v1";
+
+// Temp-file sequence numbers. One counter per process, not per
+// handle: two handles on one root must never pick the same name.
+std::atomic<std::uint64_t> nextTempSeq{0};
 
 bool
 looksLikeEntry(const fs::path &p)
@@ -118,24 +125,31 @@ ResultStore::put(const std::string &key, const Scenario &scenario,
         fatal("cannot create result store directory for '", path,
               "': ", ec.message());
 
-    // One temp name per handle at a time; the final rename is atomic,
-    // so concurrent stores (or a crash mid-put) can never expose a
+    // Every put writes its own temp file and renames it into place.
+    // The rename is atomic, so concurrent puts of one key (from this
+    // process or another) and crashes mid-put can never expose a
     // partially written entry under the content-addressed name.
-    std::lock_guard<std::mutex> lock(writeMutex_);
-    std::string tmp = path + ".tmp";
+    std::string tmp = path + "." + std::to_string(::getpid()) + "." +
+                      std::to_string(nextTempSeq.fetch_add(
+                          1, std::memory_order_relaxed)) +
+                      ".tmp";
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
             fatal("cannot write result store entry '", tmp, "'");
         out << text;
         out.flush();
-        if (!out)
+        if (!out) {
+            fs::remove(tmp, ec);
             fatal("short write to result store entry '", tmp, "'");
+        }
     }
     fs::rename(tmp, path, ec);
-    if (ec)
-        fatal("cannot commit result store entry '", path,
-              "': ", ec.message());
+    if (ec) {
+        std::string why = ec.message();
+        fs::remove(tmp, ec);
+        fatal("cannot commit result store entry '", path, "': ", why);
+    }
     puts_.fetch_add(1, std::memory_order_relaxed);
 }
 

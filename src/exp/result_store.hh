@@ -25,9 +25,12 @@
  * hit is bitwise identical to a fresh simulation.
  *
  * Layout: <root>/objects/<key[0:2]>/<key>.json, one JSON document
- * per entry ({"key", "stamp", "scenario", "sim"}). Writes go
- * through a temp file + rename, so a concurrent reader (or a crash
- * mid-put) sees either the whole entry or none of it; unreadable or
+ * per entry ({"key", "stamp", "scenario", "sim"}). Each put writes
+ * its own temp file, <key>.json.<pid>.<seq>.tmp with `seq` from one
+ * process-wide counter, and renames it into place. No two puts share
+ * a temp name, whether they come from one handle, two handles or two
+ * processes, so puts take no lock; a concurrent reader (or a crash
+ * mid-put) sees either a whole entry or none of it. Unreadable or
  * stamp-mismatched entries degrade to cache misses, never errors.
  */
 
@@ -36,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -79,7 +81,11 @@ class ResultStore
      */
     std::optional<SimResult> lookup(const std::string &key);
 
-    /** Cache a completed row (idempotent; atomic via tmp+rename). */
+    /**
+     * Cache a completed row (idempotent; atomic via a per-put temp
+     * file + rename). Thread-safe without a lock, also against other
+     * handles and processes on the same root.
+     */
     void put(const std::string &key, const Scenario &scenario,
              const SimResult &sim);
 
@@ -121,7 +127,6 @@ class ResultStore
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> puts_{0};
-    std::mutex writeMutex_; //!< serializes tmp-file names per handle
 
     std::string entryPath(const std::string &key) const;
 };

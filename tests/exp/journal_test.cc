@@ -14,6 +14,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "common/log.hh"
 #include "exp/runner.hh"
@@ -168,6 +170,90 @@ TEST(ResultJournal, DuplicateEntriesKeepTheLastOccurrence)
     auto replayed = ResultJournal::replay(file.path, hash);
     ASSERT_EQ(replayed.size(), 1u);
     EXPECT_EQ(replayed[0].retries, fresh[0].retries);
+}
+
+std::size_t
+lineCount(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::size_t n = 0;
+    for (std::string line; std::getline(in, line);)
+        ++n;
+    return n;
+}
+
+TEST(ResultJournal, AppendedLineIsInTheFileBeforeAppendReturns)
+{
+    // A SIGKILL right after append() must not lose the line, so it
+    // has to be written before append() returns, not by the thread.
+    TempFile file("written");
+    ExperimentPlan plan = tinyPlan();
+    std::string hash = planHash(plan);
+    RunnerOptions opts;
+    opts.threads = 1;
+    opts.batchLanes = 0;
+    std::vector<JobResult> fresh = ExperimentRunner(opts).run(plan);
+
+    ResultJournal journal(file.path, hash);
+    EXPECT_EQ(lineCount(file.path), 1u); // the header
+    journal.append(1, fresh[1]);
+    EXPECT_EQ(lineCount(file.path), 2u);
+    journal.append(0, fresh[0]);
+    EXPECT_EQ(lineCount(file.path), 3u);
+    auto replayed = ResultJournal::replay(file.path, hash);
+    EXPECT_EQ(replayed.size(), 2u);
+    journal.close();
+}
+
+TEST(ResultJournal, ConcurrentAppendsAreAllReplayedIntact)
+{
+    TempFile file("concurrent");
+    ExperimentPlan plan = tinyPlan();
+    std::string hash = planHash(plan);
+    RunnerOptions opts;
+    opts.threads = 1;
+    opts.batchLanes = 0;
+    JobResult row = ExperimentRunner(opts).run(plan)[0];
+    for (ScenarioResult &p : row.points)
+        p.energy = EnergyMetrics{}; // never journaled
+
+    constexpr std::size_t kThreads = 8;
+    constexpr std::size_t kPerThread = 250;
+    {
+        ResultJournal journal(file.path, hash);
+        std::vector<std::thread> threads;
+        for (std::size_t t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                for (std::size_t i = 0; i < kPerThread; ++i)
+                    journal.append(t * kPerThread + i, row);
+            });
+        for (std::thread &t : threads)
+            t.join();
+    }
+
+    // Every line parses (replay stops at the first torn one), and
+    // each job index is present exactly as written.
+    EXPECT_EQ(lineCount(file.path), 1 + kThreads * kPerThread);
+    auto replayed = ResultJournal::replay(file.path, hash);
+    ASSERT_EQ(replayed.size(), kThreads * kPerThread);
+    for (const auto &[idx, result] : replayed)
+        ASSERT_TRUE(result == row) << "job " << idx;
+}
+
+TEST(ResultJournal, FsyncFailureIsFatal)
+{
+    // fsync on /dev/null fails with EINVAL: the journal must raise
+    // FatalError no later than its next append or its close, never
+    // swallow the failure on its sync thread. (The header is fsync'd
+    // in the constructor, so /dev/null already fails there.)
+    std::string hash = planHash(tinyPlan());
+    EXPECT_THROW(
+        {
+            ResultJournal journal("/dev/null", hash);
+            journal.append(0, JobResult{});
+            journal.close();
+        },
+        FatalError);
 }
 
 } // namespace

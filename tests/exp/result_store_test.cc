@@ -7,15 +7,22 @@
  * is what the crash-safe campaign contract promises users. The rest
  * pins the addressing scheme: keys depend on scenario content and
  * the code-version stamp, stale/corrupt entries degrade to misses,
- * and clear/prune do what `snoc cache` advertises.
+ * and clear/prune do what `snoc cache` advertises. Concurrent puts
+ * of the same keys through two handles on one root must all commit.
  */
 
 #include "exp/result_store.hh"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
+
+#include "common/hash.hh"
+#include "common/log.hh"
 
 #include "exp/runner.hh"
 #include "exp/scenario.hh"
@@ -203,6 +210,53 @@ TEST(ResultStore, ClearRemovesEverything)
     EXPECT_EQ(store.usage().entries, 3u);
     EXPECT_EQ(store.clear(), 3u);
     EXPECT_EQ(store.usage().entries, 0u);
+}
+
+TEST(ResultStore, ConcurrentPutsOnASharedRootAllCommit)
+{
+    // Two handles on one root stand in for two campaigns sharing a
+    // store: 8 threads race to put the same keys, so every put
+    // contends with puts of the same entry from the other handle.
+    TempDir dir("shared");
+    ResultStore a(dir.path);
+    ResultStore b(dir.path);
+    Scenario s = tinyScenario();
+    SimResult r = ExperimentRunner::runScenario(s);
+
+    constexpr int kKeys = 200;
+    constexpr int kRounds = 5;
+    std::vector<std::string> keys;
+    for (int k = 0; k < kKeys; ++k)
+        keys.push_back(sha256Hex("shared-store-key-" + std::to_string(k)));
+
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t)
+        threads.emplace_back([&, t] {
+            ResultStore &store = t % 2 ? b : a;
+            for (int round = 0; round < kRounds; ++round)
+                for (const std::string &key : keys) {
+                    try {
+                        store.put(key, s, r);
+                    } catch (const FatalError &) {
+                        failures.fetch_add(1);
+                    }
+                }
+        });
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(failures.load(), 0);
+    for (const std::string &key : keys) {
+        std::optional<SimResult> hit = a.lookup(key);
+        ASSERT_TRUE(hit.has_value()) << key;
+        EXPECT_TRUE(*hit == r);
+    }
+    int leftovers = 0;
+    for (const fs::directory_entry &e :
+         fs::recursive_directory_iterator(dir.path))
+        leftovers += e.path().extension() == ".tmp" ? 1 : 0;
+    EXPECT_EQ(leftovers, 0);
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 #include "cli/cli.hh"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -515,6 +516,10 @@ cmdCache(const std::vector<std::string> &args, std::ostream &out,
     if (storeRoot.empty())
         fatal("no result store configured (set ", kEnvResultStore,
               " or pass --store DIR)");
+    // Opening a store creates it; inspecting a mistyped path must not.
+    std::error_code ec;
+    if (!std::filesystem::is_directory(storeRoot, ec))
+        fatal("no result store at '", storeRoot, "'");
 
     ResultStore store(storeRoot);
     if (action == "stats") {

@@ -1,19 +1,23 @@
 #include "exp/result_store.hh"
 
+#include <fcntl.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <limits>
+#include <memory>
+#include <string_view>
 #include <system_error>
-#include <vector>
+#include <tuple>
 
 #include "common/env.hh"
 #include "common/hash.hh"
 #include "common/log.hh"
 #include "common/version.hh"
-#include "exp/plan_io.hh"
 #include "exp/serialize.hh"
 
 namespace snoc {
@@ -22,18 +26,167 @@ namespace fs = std::filesystem;
 
 namespace {
 
+using Digest = std::array<unsigned char, 32>;
+
 // Bumping this invalidates every existing store (and journal) when
 // the entry schema itself changes, independently of code versions.
 constexpr const char *kStoreSchema = "snoc-store-v1";
 
-// Temp-file sequence numbers. One counter per process, not per
-// handle: two handles on one root must never pick the same name.
-std::atomic<std::uint64_t> nextTempSeq{0};
+// Pack sequence numbers. One counter per process, not per handle:
+// two handles on one root must never pick the same name.
+std::atomic<std::uint64_t> nextPackSeq{0};
 
+// Every entry line starts with the key: kKeyPrefix, 64 hex digits
+// and a closing quote, kHeadBytes in all.
+constexpr std::string_view kKeyPrefix = "{\"key\":\"";
+constexpr std::size_t kHeadBytes = kKeyPrefix.size() + 64 + 1;
+
+// Packs are read in pieces of this size, never whole.
+constexpr std::size_t kScanChunk = 64 * 1024;
+
+// The longest line an index Location can hold.
+constexpr std::uint64_t kMaxLine = std::numeric_limits<std::uint32_t>::max();
+
+/** The digest a 64-hex-digit key names; false for anything else. */
 bool
-looksLikeEntry(const fs::path &p)
+parseDigest(std::string_view hex, Digest &out)
 {
-    return p.extension() == ".json";
+    if (hex.size() != 2 * out.size())
+        return false;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const char *p = hex.data() + 2 * i;
+        auto [end, ec] = std::from_chars(p, p + 2, out[i], 16);
+        if (ec != std::errc() || end != p + 2)
+            return false;
+    }
+    return true;
+}
+
+/** Whether a line starting with `head` names a key, and which. */
+bool
+indexable(std::string_view head, Digest &out)
+{
+    return head.size() == kHeadBytes &&
+           head.substr(0, kKeyPrefix.size()) == kKeyPrefix &&
+           head.back() == '"' &&
+           parseDigest(head.substr(kKeyPrefix.size(), 64), out);
+}
+
+/** Read exactly `length` bytes at `offset`; false on error or EOF. */
+bool
+preadAll(int fd, char *out, std::size_t length, std::uint64_t offset)
+{
+    for (std::size_t done = 0; done < length;) {
+        ssize_t n = ::pread(fd, out + done, length - done,
+                            static_cast<off_t>(offset + done));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return false;
+        done += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+/**
+ * Call onLine(offset, length, head, torn) for every line of the file
+ * at `fd`, in order. `head` holds the line's first bytes (at most
+ * kHeadBytes, without the '\n'). A last line with no '\n' (a torn
+ * tail, or a read error) comes with `torn` set.
+ */
+template <typename OnLine>
+void
+scanLines(int fd, OnLine &&onLine)
+{
+    std::unique_ptr<char[]> buf(new char[kScanChunk]);
+    std::string head;
+    std::uint64_t pos = 0;
+    std::uint64_t lineStart = 0;
+    for (;;) {
+        ssize_t n = ::pread(fd, buf.get(), kScanChunk,
+                            static_cast<off_t>(pos));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        const char *p = buf.get();
+        const char *end = p + n;
+        while (p < end) {
+            const char *nl = static_cast<const char *>(
+                std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+            const char *stop = nl ? nl : end;
+            head.append(p, std::min<std::size_t>(
+                               kHeadBytes - head.size(),
+                               static_cast<std::size_t>(stop - p)));
+            if (!nl)
+                break;
+            std::uint64_t lineEnd =
+                pos + static_cast<std::uint64_t>(nl - buf.get()) + 1;
+            onLine(lineStart, lineEnd - lineStart, std::string_view(head),
+                   false);
+            lineStart = lineEnd;
+            head.clear();
+            p = nl + 1;
+        }
+        pos += static_cast<std::uint64_t>(n);
+    }
+    if (pos > lineStart)
+        onLine(lineStart, pos - lineStart, std::string_view(head), true);
+}
+
+/** The `length` bytes at `offset` of the file `path`, if readable. */
+std::optional<std::string>
+readAt(const std::string &path, std::uint64_t offset,
+       std::uint32_t length)
+{
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return std::nullopt;
+    std::string text(length, '\0');
+    bool ok = preadAll(fd, text.data(), length, offset);
+    ::close(fd);
+    if (!ok)
+        return std::nullopt;
+    return text;
+}
+
+/** Write all of `text` at the end of `fd`; false on error (errno). */
+bool
+writeAll(int fd, const std::string &text)
+{
+    for (std::size_t off = 0; off < text.size();) {
+        ssize_t n = ::write(fd, text.data() + off, text.size() - off);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0)
+            return false;
+        off += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+/**
+ * The entry `line` as a result: nullopt unless it parses and names
+ * `key` under `stamp`.
+ */
+std::optional<SimResult>
+parseEntry(const std::string &line, const std::string &origin,
+           const std::string &key, const std::string &stamp)
+{
+    try {
+        JsonValue doc = JsonValue::parse(line, origin);
+        const JsonValue *k = doc.find("key");
+        const JsonValue *s = doc.find("stamp");
+        const JsonValue *sim = doc.find("sim");
+        if (!k || !s || !sim || k->asString("$.key") != key ||
+            s->asString("$.stamp") != stamp)
+            return std::nullopt;
+        return simResultFromJson(*sim, "$.sim");
+    } catch (const FatalError &) {
+        // A torn or damaged entry (a crashed writer, disk damage) is
+        // a cache miss, never a campaign failure.
+        return std::nullopt;
+    }
 }
 
 } // namespace
@@ -50,6 +203,24 @@ resultKey(const Scenario &scenario)
     return sha256Hex(serializeScenario(scenario) + resultStoreStamp());
 }
 
+std::size_t
+ResultStore::DigestHash::operator()(const Digest &d) const noexcept
+{
+    // SHA-256 output is uniform, so its first bytes are a hash.
+    std::size_t h = 0;
+    std::memcpy(&h, d.data(), sizeof h);
+    return h;
+}
+
+struct ResultStore::Survey
+{
+    std::vector<std::string> packs;
+    Index current; //!< latest current-stamp line of each key
+    std::uint64_t stale = 0;
+    std::uint64_t corrupt = 0;
+    std::uint64_t bytes = 0;
+};
+
 ResultStore::ResultStore(std::string root, std::string stamp)
     : root_(std::move(root)),
       stamp_(stamp.empty() ? resultStoreStamp() : std::move(stamp))
@@ -57,10 +228,18 @@ ResultStore::ResultStore(std::string root, std::string stamp)
     if (root_.empty())
         fatal("result store root must not be empty");
     std::error_code ec;
-    fs::create_directories(fs::path(root_) / "objects", ec);
+    fs::create_directories(packDir(), ec);
     if (ec)
         fatal("cannot create result store at '", root_,
               "': ", ec.message());
+    for (const std::string &path : listPacks())
+        indexPack(path);
+}
+
+ResultStore::~ResultStore()
+{
+    if (packFd_ >= 0)
+        ::close(packFd_);
 }
 
 std::string
@@ -70,86 +249,131 @@ ResultStore::resolveRoot()
 }
 
 std::string
-ResultStore::entryPath(const std::string &key) const
+ResultStore::packDir() const
 {
-    return (fs::path(root_) / "objects" / key.substr(0, 2) /
-            (key + ".json"))
-        .string();
+    return (fs::path(root_) / "packs").string();
+}
+
+std::vector<std::string>
+ResultStore::listPacks() const
+{
+    std::vector<std::string> packs;
+    std::error_code ec;
+    for (fs::directory_iterator it(packDir(), ec), end;
+         !ec && it != end; it.increment(ec))
+        if (it->path().extension() == ".jsonl" &&
+            it->is_regular_file(ec))
+            packs.push_back(it->path().string());
+    // Name order makes "the later line wins" the same for every
+    // handle when two packs hold one key.
+    std::sort(packs.begin(), packs.end());
+    return packs;
+}
+
+void
+ResultStore::indexPack(const std::string &path)
+{
+    int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return; // deleted since it was listed
+    std::uint32_t id = static_cast<std::uint32_t>(packs_.size());
+    packs_.push_back(path);
+    scanLines(fd, [&](std::uint64_t offset, std::uint64_t length,
+                      std::string_view head, bool torn) {
+        Digest digest;
+        if (!torn && length <= kMaxLine && indexable(head, digest))
+            index_[digest] = {offset, static_cast<std::uint32_t>(length),
+                              id};
+    });
+    ::close(fd);
+}
+
+void
+ResultStore::appendLine(const Digest &digest, const std::string &line)
+{
+    if (line.size() > kMaxLine)
+        fatal("result store entry of ", line.size(),
+              " bytes is too large");
+    if (packFd_ < 0) {
+        std::error_code ec;
+        fs::create_directories(packDir(), ec);
+        for (;;) {
+            // O_EXCL: a pack of a dead process that had this pid may
+            // still be here, and no line may land in another's pack.
+            std::string path =
+                packDir() + "/" + std::to_string(::getpid()) + "-" +
+                std::to_string(nextPackSeq.fetch_add(
+                    1, std::memory_order_relaxed)) +
+                ".jsonl";
+            packFd_ = ::open(path.c_str(),
+                             O_WRONLY | O_CREAT | O_EXCL | O_APPEND |
+                                 O_CLOEXEC,
+                             0644);
+            if (packFd_ >= 0) {
+                packId_ = static_cast<std::uint32_t>(packs_.size());
+                packs_.push_back(path);
+                packSize_ = 0;
+                break;
+            }
+            if (errno != EEXIST)
+                fatal("cannot create result store pack '", path,
+                      "': ", std::strerror(errno));
+        }
+    }
+    if (!writeAll(packFd_, line)) {
+        int err = errno;
+        // Part of the line may be on disk. Never append after it:
+        // the next put starts a fresh pack.
+        ::close(packFd_);
+        packFd_ = -1;
+        fatal("cannot write result store pack '", packs_[packId_],
+              "': ", std::strerror(err));
+    }
+    index_[digest] = {packSize_, static_cast<std::uint32_t>(line.size()),
+                      packId_};
+    packSize_ += line.size();
 }
 
 std::optional<SimResult>
 ResultStore::lookup(const std::string &key)
 {
-    std::string path = entryPath(key);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    try {
-        JsonValue doc = JsonValue::parse(text, path);
-        const JsonValue *stamp = doc.find("stamp");
-        const JsonValue *sim = doc.find("sim");
-        if (!stamp || !sim || stamp->asString("$.stamp") != stamp_) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return std::nullopt;
+    Digest digest;
+    Location at;
+    std::string path;
+    if (parseDigest(key, digest)) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (auto it = index_.find(digest); it != index_.end()) {
+            at = it->second;
+            path = packs_[at.pack];
         }
-        SimResult r = simResultFromJson(*sim, "$.sim");
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return r;
-    } catch (const FatalError &) {
-        // A corrupt entry (torn write from a crashed process, disk
-        // damage) is a cache miss, never a campaign failure.
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
     }
+
+    // The pack is gone if clear or prune ran since: a miss too.
+    std::optional<SimResult> hit;
+    if (!path.empty())
+        if (std::optional<std::string> line =
+                readAt(path, at.offset, at.length))
+            hit = parseEntry(*line, path, key, stamp_);
+    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    return hit;
 }
 
 void
 ResultStore::put(const std::string &key, const Scenario &scenario,
                  const SimResult &sim)
 {
+    Digest digest;
+    if (!parseDigest(key, digest))
+        fatal("result store key '", key, "' is not 64 hex digits");
     JsonValue doc = JsonValue::object();
     doc.set("key", JsonValue::string(key));
     doc.set("stamp", JsonValue::string(stamp_));
     doc.set("scenario", toJson(scenario));
     doc.set("sim", toJson(sim));
-    std::string text = doc.dump(2) + "\n";
+    std::string line = doc.dump(-1) + "\n";
 
-    std::string path = entryPath(key);
-    std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    if (ec)
-        fatal("cannot create result store directory for '", path,
-              "': ", ec.message());
-
-    // Every put writes its own temp file and renames it into place.
-    // The rename is atomic, so concurrent puts of one key (from this
-    // process or another) and crashes mid-put can never expose a
-    // partially written entry under the content-addressed name.
-    std::string tmp = path + "." + std::to_string(::getpid()) + "." +
-                      std::to_string(nextTempSeq.fetch_add(
-                          1, std::memory_order_relaxed)) +
-                      ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            fatal("cannot write result store entry '", tmp, "'");
-        out << text;
-        out.flush();
-        if (!out) {
-            fs::remove(tmp, ec);
-            fatal("short write to result store entry '", tmp, "'");
-        }
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::string why = ec.message();
-        fs::remove(tmp, ec);
-        fatal("cannot commit result store entry '", path, "': ", why);
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    appendLine(digest, line);
     puts_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -163,88 +387,118 @@ ResultStore::stats() const
     return s;
 }
 
-ResultStore::Usage
-ResultStore::usage() const
+ResultStore::Survey
+ResultStore::survey() const
 {
-    Usage u;
-    std::error_code ec;
-    fs::path objects = fs::path(root_) / "objects";
-    for (fs::recursive_directory_iterator
-             it(objects, fs::directory_options::skip_permission_denied,
-                ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        if (!it->is_regular_file(ec) || !looksLikeEntry(it->path()))
+    Survey s;
+    s.packs = listPacks();
+    std::string line;
+    for (std::uint32_t id = 0; id < s.packs.size(); ++id) {
+        const std::string &path = s.packs[id];
+        int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        if (fd < 0)
             continue;
-        u.bytes += it->file_size(ec);
-        try {
-            JsonValue doc = JsonValue::parse(
-                readTextFile(it->path().string()), it->path().string());
+        scanLines(fd, [&](std::uint64_t offset, std::uint64_t length,
+                          std::string_view head, bool torn) {
+            s.bytes += length;
+            Digest digest;
+            if (torn || length > kMaxLine || !indexable(head, digest)) {
+                ++s.corrupt;
+                return;
+            }
+            line.resize(length);
+            JsonValue doc; // stays null if unreadable or unparseable
+            try {
+                if (preadAll(fd, line.data(), length, offset))
+                    doc = JsonValue::parse(line, path);
+            } catch (const FatalError &) {
+            }
+            if (!doc.isObject()) {
+                ++s.corrupt;
+                return;
+            }
             const JsonValue *stamp = doc.find("stamp");
             if (stamp && stamp->isString() &&
                 stamp->asString("$.stamp") == stamp_)
-                ++u.entries;
+                s.current[digest] = {
+                    offset, static_cast<std::uint32_t>(length), id};
             else
-                ++u.stale;
-        } catch (const FatalError &) {
-            ++u.corrupt;
-        }
+                ++s.stale;
+        });
+        ::close(fd);
     }
+    return s;
+}
+
+ResultStore::Usage
+ResultStore::usage() const
+{
+    Survey s = survey();
+    Usage u;
+    u.entries = s.current.size();
+    u.stale = s.stale;
+    u.corrupt = s.corrupt;
+    u.bytes = s.bytes;
     return u;
+}
+
+void
+ResultStore::forget()
+{
+    if (packFd_ >= 0)
+        ::close(packFd_);
+    packFd_ = -1;
+    packs_.clear();
+    index_.clear();
+}
+
+void
+ResultStore::removePacks(const std::vector<std::string> &packs) const
+{
+    for (const std::string &path : packs)
+        ::unlink(path.c_str());
+    // The one-file-per-entry layout of older builds is never read.
+    std::error_code ec;
+    fs::remove_all(fs::path(root_) / "objects", ec);
 }
 
 std::uint64_t
 ResultStore::clear()
 {
-    std::uint64_t removed = 0;
-    std::error_code ec;
-    fs::path objects = fs::path(root_) / "objects";
-    std::vector<fs::path> victims;
-    for (fs::recursive_directory_iterator
-             it(objects, fs::directory_options::skip_permission_denied,
-                ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        if (it->is_regular_file(ec) && looksLikeEntry(it->path()))
-            victims.push_back(it->path());
-    }
-    for (const fs::path &p : victims)
-        if (fs::remove(p, ec) && !ec)
-            ++removed;
-    return removed;
+    std::lock_guard<std::mutex> lock(mutex_);
+    Survey s = survey();
+    forget();
+    removePacks(s.packs);
+    return s.current.size() + s.stale + s.corrupt;
 }
 
 std::uint64_t
 ResultStore::prune()
 {
-    std::uint64_t removed = 0;
-    std::error_code ec;
-    fs::path objects = fs::path(root_) / "objects";
-    std::vector<fs::path> victims;
-    for (fs::recursive_directory_iterator
-             it(objects, fs::directory_options::skip_permission_denied,
-                ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        if (!it->is_regular_file(ec) || !looksLikeEntry(it->path()))
-            continue;
-        bool keep = false;
-        try {
-            JsonValue doc = JsonValue::parse(
-                readTextFile(it->path().string()), it->path().string());
-            const JsonValue *stamp = doc.find("stamp");
-            keep = stamp && stamp->isString() &&
-                   stamp->asString("$.stamp") == stamp_;
-        } catch (const FatalError &) {
-            keep = false;
-        }
-        if (!keep)
-            victims.push_back(it->path());
-    }
-    for (const fs::path &p : victims)
-        if (fs::remove(p, ec) && !ec)
-            ++removed;
-    return removed;
+    std::lock_guard<std::mutex> lock(mutex_);
+    Survey s = survey();
+    forget();
+
+    // Copy the survivors, in pack order, into a new pack the way
+    // put() appends. A crash part-way leaves whole-line duplicates of
+    // entries that the old packs still hold.
+    std::vector<std::pair<Digest, Location>> keep(s.current.begin(),
+                                                  s.current.end());
+    std::sort(keep.begin(), keep.end(), [](const auto &a, const auto &b) {
+        return std::tie(a.second.pack, a.second.offset) <
+               std::tie(b.second.pack, b.second.offset);
+    });
+    for (const auto &[digest, at] : keep)
+        // A pack deleted or cut since the survey loses the entry.
+        if (std::optional<std::string> line =
+                readAt(s.packs[at.pack], at.offset, at.length))
+            appendLine(digest, *line);
+    // The survivors must be on disk before their old copies go.
+    if (packFd_ >= 0 && ::fsync(packFd_) != 0)
+        fatal("cannot fsync result store pack '", packs_[packId_],
+              "': ", std::strerror(errno));
+    removePacks(s.packs);
+    return s.stale + s.corrupt;
 }
 
 } // namespace snoc

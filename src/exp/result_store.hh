@@ -24,23 +24,51 @@
  * and the store's own contract (enforced by test) is that a cache
  * hit is bitwise identical to a fresh simulation.
  *
- * Layout: <root>/objects/<key[0:2]>/<key>.json, one JSON document
- * per entry ({"key", "stamp", "scenario", "sim"}). Each put writes
- * its own temp file, <key>.json.<pid>.<seq>.tmp with `seq` from one
- * process-wide counter, and renames it into place. No two puts share
- * a temp name, whether they come from one handle, two handles or two
- * processes, so puts take no lock; a concurrent reader (or a crash
- * mid-put) sees either a whole entry or none of it. Unreadable or
- * stamp-mismatched entries degrade to cache misses, never errors.
+ * Layout: append-only packs, <root>/packs/<pid>-<seq>.jsonl. An
+ * entry is one compact JSON line ({"key", "stamp", "scenario",
+ * "sim"}) ending in '\n'. Each handle creates its own pack on its
+ * first put (O_EXCL, so a reused pid moves on to the next `seq` of
+ * the process-wide counter) and is its only writer; a campaign that
+ * computes N points therefore creates one file, not N. A pack is
+ * never rewritten in place: a write that fails closes it, and the
+ * next put starts a fresh pack, so no line ever follows a torn one.
+ * Puts are not fsync'd: the store is a cache, and a crashed writer
+ * can only tear the last line of its pack.
+ *
+ * Index: a handle maps each key's 32-byte digest to the (pack,
+ * offset, length) of its line, 48 bytes per key plus the hash map's
+ * node. The constructor builds it by reading every pack in
+ * fixed-size chunks; a line is indexed only if it ends in '\n' and
+ * starts with {"key":"<64 hex>", and when a key appears twice the
+ * later line wins. lookup() reads that one line with pread() and does
+ * the full parse: a torn, damaged or stale-stamped line is a cache
+ * miss, never an error.
+ *
+ * Visibility: a handle sees the entries that were on disk when it
+ * was opened, plus its own puts. Two campaigns may share a store at
+ * once and both stay correct, but they do not see each other's
+ * results mid-run.
+ *
+ * Maintenance: prune() compacts the current-stamp entries, one line
+ * per key, into one new pack and deletes the old packs; clear()
+ * deletes every pack. Both also delete an `objects/` tree left by
+ * the one-file-per-entry layout of older builds, which is never
+ * read. Neither locks against other processes: a campaign writing
+ * the store at the same time can lose entries to them, which a cache
+ * may do.
  */
 
 #ifndef SNOC_EXP_RESULT_STORE_HH
 #define SNOC_EXP_RESULT_STORE_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "exp/experiment_plan.hh"
 
@@ -63,11 +91,15 @@ class ResultStore
   public:
     /**
      * Open (creating directories as needed) a store rooted at
-     * `root`. `stamp` defaults to resultStoreStamp(); tests override
-     * it to model entries written by another code version.
+     * `root` and index the packs already on disk. `stamp` defaults
+     * to resultStoreStamp(); tests override it to model entries
+     * written by another code version.
      * @throws FatalError when the root cannot be created
      */
     explicit ResultStore(std::string root, std::string stamp = {});
+    ~ResultStore();
+    ResultStore(const ResultStore &) = delete;
+    ResultStore &operator=(const ResultStore &) = delete;
 
     /**
      * The store root from the environment (SNOC_RESULT_STORE), or ""
@@ -76,15 +108,17 @@ class ResultStore
     static std::string resolveRoot();
 
     /**
-     * The cached result under `key`, or nullopt. Missing, corrupt
-     * and stale-stamped entries all count as misses.
+     * The cached result under `key`, or nullopt. Missing, torn,
+     * corrupt and stale-stamped entries all count as misses.
      */
     std::optional<SimResult> lookup(const std::string &key);
 
     /**
-     * Cache a completed row (idempotent; atomic via a per-put temp
-     * file + rename). Thread-safe without a lock, also against other
-     * handles and processes on the same root.
+     * Cache a completed row: append one line to this handle's pack.
+     * A later put of the same key supersedes the earlier line.
+     * Thread-safe, also against other handles and processes on the
+     * same root.
+     * @throws FatalError when the pack cannot be created or written
      */
     void put(const std::string &key, const Scenario &scenario,
              const SimResult &sim);
@@ -101,20 +135,23 @@ class ResultStore
     /** Whole-store disk accounting (`snoc cache stats`). */
     struct Usage
     {
-        std::uint64_t entries = 0; //!< parseable entries
-        std::uint64_t stale = 0;   //!< entries with a foreign stamp
-        std::uint64_t corrupt = 0; //!< unparseable entry files
-        std::uint64_t bytes = 0;   //!< total entry bytes on disk
+        std::uint64_t entries = 0; //!< distinct current-stamp keys
+        std::uint64_t stale = 0;   //!< lines with a foreign stamp
+        std::uint64_t corrupt = 0; //!< torn or unparseable lines
+        std::uint64_t bytes = 0;   //!< total pack bytes on disk
     };
     Usage usage() const;
 
-    /** Delete every entry (`snoc cache clear`); returns the count. */
+    /**
+     * Delete every pack (`snoc cache clear`); returns the entries,
+     * stale and corrupt lines removed, as usage() counted them.
+     */
     std::uint64_t clear();
 
     /**
-     * Delete entries whose stamp differs from this handle's stamp,
-     * plus unparseable entry files (`snoc cache prune`); returns the
-     * count removed.
+     * Rewrite the current-stamp entries, one line per key, into one
+     * new pack and delete the old packs (`snoc cache prune`);
+     * returns the number of stale and corrupt lines dropped.
      */
     std::uint64_t prune();
 
@@ -122,13 +159,49 @@ class ResultStore
     const std::string &stamp() const { return stamp_; }
 
   private:
+    using Digest = std::array<unsigned char, 32>;
+
+    struct DigestHash
+    {
+        std::size_t operator()(const Digest &d) const noexcept;
+    };
+
+    /** Where a key's line sits: packs_[pack], bytes [offset, +length). */
+    struct Location
+    {
+        std::uint64_t offset = 0;
+        std::uint32_t length = 0;
+        std::uint32_t pack = 0;
+    };
+
+    using Index = std::unordered_map<Digest, Location, DigestHash>;
+
+    /** Every pack's lines, classified by a full parse. */
+    struct Survey;
+
     std::string root_;
     std::string stamp_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> puts_{0};
 
-    std::string entryPath(const std::string &key) const;
+    /** Guards the index, the pack list and the pack being written. */
+    std::mutex mutex_;
+    std::vector<std::string> packs_; //!< paths, by Location::pack
+    Index index_;
+    int packFd_ = -1; //!< this handle's pack, opened on first put
+    std::uint32_t packId_ = 0;   //!< its Location::pack
+    std::uint64_t packSize_ = 0; //!< its length: the next line's offset
+
+    std::string packDir() const;
+    std::vector<std::string> listPacks() const;
+    void indexPack(const std::string &path);
+    /** Append one entry line to this handle's pack (under mutex_). */
+    void appendLine(const Digest &digest, const std::string &line);
+    /** Close this handle's pack and drop its index (under mutex_). */
+    void forget();
+    void removePacks(const std::vector<std::string> &packs) const;
+    Survey survey() const;
 };
 
 } // namespace snoc

@@ -245,6 +245,20 @@ TEST(Cli, CacheSubcommandAndStoreRoundTrip)
     EXPECT_EQ(cli({"cache", "stats"}, &out, &err), 1);
     EXPECT_NE(err.find("no result store"), std::string::npos) << err;
     EXPECT_EQ(cli({"cache", "bogus"}, &out, &err), 2);
+
+    // A store path that does not exist is an error, and inspecting
+    // it creates nothing.
+    std::string missing = storeDir + "_typo";
+    std::filesystem::remove_all(missing);
+    for (const char *action : {"stats", "prune", "clear"}) {
+        EXPECT_EQ(cli({"cache", action, "--store", missing}, &out, &err),
+                  1)
+            << action;
+        EXPECT_NE(err.find("no result store at '" + missing + "'"),
+                  std::string::npos)
+            << err;
+        EXPECT_FALSE(std::filesystem::exists(missing)) << action;
+    }
     std::filesystem::remove_all(storeDir);
 }
 

@@ -5,19 +5,23 @@
  * simulation — both at the SimResult level (operator== over every
  * field, doubles included) and at the rendered-output level, which
  * is what the crash-safe campaign contract promises users. The rest
- * pins the addressing scheme: keys depend on scenario content and
- * the code-version stamp, stale/corrupt entries degrade to misses,
- * and clear/prune do what `snoc cache` advertises. Concurrent puts
- * of the same keys through two handles on one root must all commit.
+ * pins the addressing scheme and the pack layout: keys depend on
+ * scenario content and the code-version stamp, torn, damaged and
+ * stale lines degrade to misses, each handle writes its own pack and
+ * sees what was on disk when it opened, and clear/prune do what
+ * `snoc cache` advertises. Concurrent puts of the same keys through
+ * two handles on one root must all commit.
  */
 
 #include "exp/result_store.hh"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -53,6 +57,35 @@ struct TempDir
     }
     ~TempDir() { fs::remove_all(path); }
 };
+
+/** The pack files under a store root, in name order. */
+std::vector<std::string>
+packFiles(const std::string &root)
+{
+    std::vector<std::string> packs;
+    for (const fs::directory_entry &e :
+         fs::directory_iterator(root + "/packs"))
+        packs.push_back(e.path().string());
+    std::sort(packs.begin(), packs.end());
+    return packs;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+std::vector<std::string>
+testKeys(const std::string &tag, int n)
+{
+    std::vector<std::string> keys;
+    for (int k = 0; k < n; ++k)
+        keys.push_back(sha256Hex(tag + std::to_string(k)));
+    return keys;
+}
 
 TEST(ResultStore, KeyDependsOnScenarioContentAndStamp)
 {
@@ -179,24 +212,185 @@ TEST(ResultStore, StaleStampIsAMissAndPruneEvictsIt)
 TEST(ResultStore, CorruptEntryIsAMissNeverAnError)
 {
     TempDir dir("corrupt");
-    ResultStore store(dir.path);
     Scenario s = tinyScenario();
     SimResult r = ExperimentRunner::runScenario(s);
     std::string key = resultKey(s);
-    store.put(key, s, r);
-
-    // Tear the entry the way a crashed writer would.
-    std::string entry = dir.path + "/objects/" + key.substr(0, 2) +
-                        "/" + key + ".json";
     {
-        std::ofstream f(entry, std::ios::trunc);
-        f << "{\"key\": \"" << key << "\", \"stam"; // torn mid-token
+        ResultStore writer(dir.path);
+        writer.put(key, s, r);
     }
 
+    // Tear the entry the way a crashed writer would: the pack ends
+    // mid-line.
+    std::vector<std::string> packs = packFiles(dir.path);
+    ASSERT_EQ(packs.size(), 1u);
+    fs::resize_file(packs[0], fs::file_size(packs[0]) / 2);
+
+    ResultStore store(dir.path);
     EXPECT_FALSE(store.lookup(key).has_value());
     EXPECT_EQ(store.usage().corrupt, 1u);
-    EXPECT_EQ(store.prune(), 1u); // prune sweeps corrupt files too
+    EXPECT_EQ(store.prune(), 1u); // prune drops torn lines too
     EXPECT_EQ(store.usage().corrupt, 0u);
+}
+
+TEST(ResultStore, TornLineDoesNotShadowAnEarlierLineOfItsKey)
+{
+    TempDir dir("shadow");
+    Scenario s = tinyScenario();
+    SimResult r = ExperimentRunner::runScenario(s);
+    std::string key = resultKey(s);
+    {
+        ResultStore writer(dir.path);
+        writer.put(key, s, r);
+        writer.put(key, s, r); // the later line of the key
+    }
+
+    // A crash mid-way through the later line: only lines that end in
+    // a newline are indexed, so the earlier one still serves the key.
+    std::vector<std::string> packs = packFiles(dir.path);
+    ASSERT_EQ(packs.size(), 1u);
+    std::uintmax_t size = fs::file_size(packs[0]);
+    fs::resize_file(packs[0], size * 3 / 4);
+
+    ResultStore store(dir.path);
+    std::optional<SimResult> hit = store.lookup(key);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(*hit == r);
+    EXPECT_EQ(store.usage().corrupt, 1u);
+}
+
+TEST(ResultStore, DamagedLineIsAMissAndItsNeighboursStillHit)
+{
+    TempDir dir("damaged");
+    Scenario s = tinyScenario();
+    SimResult r = ExperimentRunner::runScenario(s);
+    std::vector<std::string> keys = testKeys("damaged-", 3);
+    {
+        ResultStore writer(dir.path);
+        for (const std::string &key : keys)
+            writer.put(key, s, r);
+    }
+
+    // Damage the second line's closing brace, keeping its key and its
+    // newline: the index still points at it, the parse fails.
+    std::vector<std::string> packs = packFiles(dir.path);
+    ASSERT_EQ(packs.size(), 1u);
+    std::string text = readFile(packs[0]);
+    std::size_t secondEnd = text.find('\n', text.find('\n') + 1);
+    ASSERT_EQ(text[secondEnd - 1], '}');
+    text[secondEnd - 1] = '#';
+    std::ofstream(packs[0], std::ios::binary | std::ios::trunc) << text;
+
+    ResultStore store(dir.path);
+    ASSERT_TRUE(store.lookup(keys[0]).has_value());
+    EXPECT_TRUE(*store.lookup(keys[0]) == r);
+    EXPECT_FALSE(store.lookup(keys[1]).has_value());
+    ASSERT_TRUE(store.lookup(keys[2]).has_value());
+    EXPECT_TRUE(*store.lookup(keys[2]) == r);
+    ResultStore::Usage u = store.usage();
+    EXPECT_EQ(u.entries, 2u);
+    EXPECT_EQ(u.corrupt, 1u);
+}
+
+TEST(ResultStore, HandleOpenedLaterHitsEveryEarlierPut)
+{
+    TempDir dir("later");
+    Scenario s = tinyScenario();
+    SimResult r = ExperimentRunner::runScenario(s);
+    std::vector<std::string> keys = testKeys("later-", 50);
+
+    ResultStore first(dir.path);
+    for (const std::string &key : keys)
+        first.put(key, s, r);
+
+    // `first` stays open: its pack need not be closed to be read.
+    ResultStore second(dir.path);
+    for (const std::string &key : keys) {
+        std::optional<SimResult> hit = second.lookup(key);
+        ASSERT_TRUE(hit.has_value()) << key;
+        EXPECT_TRUE(*hit == r);
+    }
+    EXPECT_EQ(second.stats().hits, keys.size());
+}
+
+TEST(ResultStore, EachHandleWritesItsOwnPack)
+{
+    TempDir dir("packs");
+    Scenario s = tinyScenario();
+    SimResult r = ExperimentRunner::runScenario(s);
+    std::vector<std::string> keys = testKeys("packs-", 2);
+
+    ResultStore a(dir.path);
+    ResultStore b(dir.path);
+    ResultStore reader(dir.path);
+    a.put(keys[0], s, r);
+    b.put(keys[1], s, r);
+    a.put(keys[1], s, r);
+    EXPECT_FALSE(reader.lookup(keys[0]).has_value()); // opened before
+
+    // Two writers, two packs; a handle that only looks up adds none.
+    std::vector<std::string> packs = packFiles(dir.path);
+    ASSERT_EQ(packs.size(), 2u);
+    EXPECT_NE(packs[0], packs[1]);
+    for (const std::string &pack : packs)
+        EXPECT_EQ(fs::path(pack).extension(), ".jsonl");
+}
+
+TEST(ResultStore, PruneCompactsDuplicatesIntoOnePack)
+{
+    TempDir dir("compact");
+    Scenario s = tinyScenario();
+    SimResult r = ExperimentRunner::runScenario(s);
+    std::vector<std::string> keys = testKeys("compact-", 20);
+
+    ResultStore a(dir.path);
+    {
+        ResultStore b(dir.path);
+        for (const std::string &key : keys) {
+            a.put(key, s, r);
+            b.put(key, s, r);
+        }
+    }
+    EXPECT_EQ(packFiles(dir.path).size(), 2u);
+    EXPECT_EQ(a.usage().entries, keys.size());
+
+    EXPECT_EQ(a.prune(), 0u); // duplicates are neither stale nor corrupt
+    std::vector<std::string> packs = packFiles(dir.path);
+    ASSERT_EQ(packs.size(), 1u);
+    std::string text = readFile(packs[0]);
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(text.begin(), text.end(), '\n')),
+              keys.size());
+    EXPECT_EQ(a.usage().entries, keys.size());
+
+    ResultStore fresh(dir.path);
+    for (const std::string &key : keys) {
+        ASSERT_TRUE(a.lookup(key).has_value()) << key;
+        std::optional<SimResult> hit = fresh.lookup(key);
+        ASSERT_TRUE(hit.has_value()) << key;
+        EXPECT_TRUE(*hit == r);
+    }
+}
+
+TEST(ResultStore, ClearAndPruneRemoveTheOldObjectsTree)
+{
+    TempDir dir("objects");
+    ResultStore store(dir.path);
+    fs::path objects = fs::path(dir.path) / "objects";
+    auto plantOldEntry = [&] {
+        std::string key = sha256Hex("old-layout");
+        fs::create_directories(objects / key.substr(0, 2));
+        std::ofstream(objects / key.substr(0, 2) / (key + ".json"))
+            << "{\"key\": \"" << key << "\"}\n";
+    };
+
+    plantOldEntry();
+    store.clear();
+    EXPECT_FALSE(fs::exists(objects));
+
+    plantOldEntry();
+    store.prune();
+    EXPECT_FALSE(fs::exists(objects));
 }
 
 TEST(ResultStore, ClearRemovesEverything)
@@ -223,11 +417,8 @@ TEST(ResultStore, ConcurrentPutsOnASharedRootAllCommit)
     Scenario s = tinyScenario();
     SimResult r = ExperimentRunner::runScenario(s);
 
-    constexpr int kKeys = 200;
     constexpr int kRounds = 5;
-    std::vector<std::string> keys;
-    for (int k = 0; k < kKeys; ++k)
-        keys.push_back(sha256Hex("shared-store-key-" + std::to_string(k)));
+    std::vector<std::string> keys = testKeys("shared-store-key-", 200);
 
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;

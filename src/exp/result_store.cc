@@ -5,10 +5,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <string_view>
 #include <system_error>
@@ -26,8 +24,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-using Digest = std::array<unsigned char, 32>;
-
 // Bumping this invalidates every existing store (and journal) when
 // the entry schema itself changes, independently of code versions.
 constexpr const char *kStoreSchema = "snoc-store-v1";
@@ -36,40 +32,40 @@ constexpr const char *kStoreSchema = "snoc-store-v1";
 // two handles on one root must never pick the same name.
 std::atomic<std::uint64_t> nextPackSeq{0};
 
-// Every entry line starts with the key: kKeyPrefix, 64 hex digits
-// and a closing quote, kHeadBytes in all.
+// Every entry line starts with the key: kKeyPrefix, the key's
+// kKeyChars and a closing quote, kHeadBytes in all.
 constexpr std::string_view kKeyPrefix = "{\"key\":\"";
-constexpr std::size_t kHeadBytes = kKeyPrefix.size() + 64 + 1;
+constexpr std::size_t kKeyChars = 64;
+constexpr std::size_t kHeadBytes = kKeyPrefix.size() + kKeyChars + 1;
 
 // Packs are read in pieces of this size, never whole.
 constexpr std::size_t kScanChunk = 64 * 1024;
 
-// The longest line an index Location can hold.
-constexpr std::uint64_t kMaxLine = std::numeric_limits<std::uint32_t>::max();
-
-/** The digest a 64-hex-digit key names; false for anything else. */
-bool
-parseDigest(std::string_view hex, Digest &out)
+/** The key a line starting with `head` names, or "" for none. */
+std::string_view
+lineKey(std::string_view head)
 {
-    if (hex.size() != 2 * out.size())
-        return false;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        const char *p = hex.data() + 2 * i;
-        auto [end, ec] = std::from_chars(p, p + 2, out[i], 16);
-        if (ec != std::errc() || end != p + 2)
-            return false;
-    }
-    return true;
+    if (head.size() != kHeadBytes || !head.starts_with(kKeyPrefix) ||
+        head.back() != '"')
+        return {};
+    return head.substr(kKeyPrefix.size(), kKeyChars);
 }
 
-/** Whether a line starting with `head` names a key, and which. */
-bool
-indexable(std::string_view head, Digest &out)
+/** The *.jsonl packs in `dir`, in name order; none if it is missing. */
+std::vector<std::string>
+listPacks(const fs::path &dir)
 {
-    return head.size() == kHeadBytes &&
-           head.substr(0, kKeyPrefix.size()) == kKeyPrefix &&
-           head.back() == '"' &&
-           parseDigest(head.substr(kKeyPrefix.size(), 64), out);
+    std::vector<std::string> packs;
+    std::error_code ec;
+    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+         it.increment(ec))
+        if (it->path().extension() == ".jsonl" &&
+            it->is_regular_file(ec))
+            packs.push_back(it->path().string());
+    // Name order makes "the later line wins" the same for every
+    // handle when two packs hold one key.
+    std::sort(packs.begin(), packs.end());
+    return packs;
 }
 
 /** Read exactly `length` bytes at `offset`; false on error or EOF. */
@@ -137,7 +133,7 @@ scanLines(int fd, OnLine &&onLine)
 /** The `length` bytes at `offset` of the file `path`, if readable. */
 std::optional<std::string>
 readAt(const std::string &path, std::uint64_t offset,
-       std::uint32_t length)
+       std::uint64_t length)
 {
     int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0)
@@ -203,18 +199,10 @@ resultKey(const Scenario &scenario)
     return sha256Hex(serializeScenario(scenario) + resultStoreStamp());
 }
 
-std::size_t
-ResultStore::DigestHash::operator()(const Digest &d) const noexcept
-{
-    // SHA-256 output is uniform, so its first bytes are a hash.
-    std::size_t h = 0;
-    std::memcpy(&h, d.data(), sizeof h);
-    return h;
-}
-
 struct ResultStore::Survey
 {
-    std::vector<std::string> packs;
+    std::vector<std::string> packs;   //!< this stamp's packs
+    std::vector<std::string> foreign; //!< other stamps' pack directories
     Index current; //!< latest current-stamp line of each key
     std::uint64_t stale = 0;
     std::uint64_t corrupt = 0;
@@ -227,12 +215,15 @@ ResultStore::ResultStore(std::string root, std::string stamp)
 {
     if (root_.empty())
         fatal("result store root must not be empty");
+    packDir_ = (fs::path(root_) / "packs" /
+                sha256Hex(stamp_).substr(0, 16))
+                   .string();
     std::error_code ec;
-    fs::create_directories(packDir(), ec);
+    fs::create_directories(root_, ec);
     if (ec)
         fatal("cannot create result store at '", root_,
               "': ", ec.message());
-    for (const std::string &path : listPacks())
+    for (const std::string &path : listPacks(packDir_))
         indexPack(path);
 }
 
@@ -248,60 +239,35 @@ ResultStore::resolveRoot()
     return envString(kEnvResultStore, "");
 }
 
-std::string
-ResultStore::packDir() const
-{
-    return (fs::path(root_) / "packs").string();
-}
-
-std::vector<std::string>
-ResultStore::listPacks() const
-{
-    std::vector<std::string> packs;
-    std::error_code ec;
-    for (fs::directory_iterator it(packDir(), ec), end;
-         !ec && it != end; it.increment(ec))
-        if (it->path().extension() == ".jsonl" &&
-            it->is_regular_file(ec))
-            packs.push_back(it->path().string());
-    // Name order makes "the later line wins" the same for every
-    // handle when two packs hold one key.
-    std::sort(packs.begin(), packs.end());
-    return packs;
-}
-
 void
 ResultStore::indexPack(const std::string &path)
 {
     int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0)
         return; // deleted since it was listed
-    std::uint32_t id = static_cast<std::uint32_t>(packs_.size());
+    std::size_t id = packs_.size();
     packs_.push_back(path);
     scanLines(fd, [&](std::uint64_t offset, std::uint64_t length,
                       std::string_view head, bool torn) {
-        Digest digest;
-        if (!torn && length <= kMaxLine && indexable(head, digest))
-            index_[digest] = {offset, static_cast<std::uint32_t>(length),
-                              id};
+        if (std::string_view key = lineKey(head); !torn && !key.empty())
+            index_.insert_or_assign(std::string(key),
+                                    Location{offset, length, id});
     });
     ::close(fd);
 }
 
 void
-ResultStore::appendLine(const Digest &digest, const std::string &line)
+ResultStore::appendLine(const std::string &key, const std::string &line)
 {
-    if (line.size() > kMaxLine)
-        fatal("result store entry of ", line.size(),
-              " bytes is too large");
     if (packFd_ < 0) {
+        // The directory is new, or another stamp's prune deleted it.
         std::error_code ec;
-        fs::create_directories(packDir(), ec);
+        fs::create_directories(packDir_, ec);
         for (;;) {
             // O_EXCL: a pack of a dead process that had this pid may
             // still be here, and no line may land in another's pack.
             std::string path =
-                packDir() + "/" + std::to_string(::getpid()) + "-" +
+                packDir_ + "/" + std::to_string(::getpid()) + "-" +
                 std::to_string(nextPackSeq.fetch_add(
                     1, std::memory_order_relaxed)) +
                 ".jsonl";
@@ -310,7 +276,7 @@ ResultStore::appendLine(const Digest &digest, const std::string &line)
                                  O_CLOEXEC,
                              0644);
             if (packFd_ >= 0) {
-                packId_ = static_cast<std::uint32_t>(packs_.size());
+                packId_ = packs_.size();
                 packs_.push_back(path);
                 packSize_ = 0;
                 break;
@@ -329,20 +295,18 @@ ResultStore::appendLine(const Digest &digest, const std::string &line)
         fatal("cannot write result store pack '", packs_[packId_],
               "': ", std::strerror(err));
     }
-    index_[digest] = {packSize_, static_cast<std::uint32_t>(line.size()),
-                      packId_};
+    index_.insert_or_assign(key, Location{packSize_, line.size(), packId_});
     packSize_ += line.size();
 }
 
 std::optional<SimResult>
 ResultStore::lookup(const std::string &key)
 {
-    Digest digest;
     Location at;
     std::string path;
-    if (parseDigest(key, digest)) {
+    {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (auto it = index_.find(digest); it != index_.end()) {
+        if (auto it = index_.find(key); it != index_.end()) {
             at = it->second;
             path = packs_[at.pack];
         }
@@ -362,9 +326,6 @@ void
 ResultStore::put(const std::string &key, const Scenario &scenario,
                  const SimResult &sim)
 {
-    Digest digest;
-    if (!parseDigest(key, digest))
-        fatal("result store key '", key, "' is not 64 hex digits");
     JsonValue doc = JsonValue::object();
     doc.set("key", JsonValue::string(key));
     doc.set("stamp", JsonValue::string(stamp_));
@@ -373,7 +334,7 @@ ResultStore::put(const std::string &key, const Scenario &scenario,
     std::string line = doc.dump(-1) + "\n";
 
     std::lock_guard<std::mutex> lock(mutex_);
-    appendLine(digest, line);
+    appendLine(key, line);
     puts_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -391,9 +352,9 @@ ResultStore::Survey
 ResultStore::survey() const
 {
     Survey s;
-    s.packs = listPacks();
+    s.packs = listPacks(packDir_);
     std::string line;
-    for (std::uint32_t id = 0; id < s.packs.size(); ++id) {
+    for (std::size_t id = 0; id < s.packs.size(); ++id) {
         const std::string &path = s.packs[id];
         int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
         if (fd < 0)
@@ -401,8 +362,8 @@ ResultStore::survey() const
         scanLines(fd, [&](std::uint64_t offset, std::uint64_t length,
                           std::string_view head, bool torn) {
             s.bytes += length;
-            Digest digest;
-            if (torn || length > kMaxLine || !indexable(head, digest)) {
+            std::string_view key = lineKey(head);
+            if (torn || key.empty()) {
                 ++s.corrupt;
                 return;
             }
@@ -420,12 +381,33 @@ ResultStore::survey() const
             const JsonValue *stamp = doc.find("stamp");
             if (stamp && stamp->isString() &&
                 stamp->asString("$.stamp") == stamp_)
-                s.current[digest] = {
-                    offset, static_cast<std::uint32_t>(length), id};
+                s.current.insert_or_assign(std::string(key),
+                                           Location{offset, length, id});
             else
                 ++s.stale;
         });
         ::close(fd);
+    }
+
+    // Another stamp's lines can never be hits: count them unparsed.
+    std::error_code ec;
+    const fs::path own(packDir_);
+    for (fs::directory_iterator it(own.parent_path(), ec), end;
+         !ec && it != end; it.increment(ec)) {
+        if (it->path() == own || !it->is_directory(ec))
+            continue;
+        s.foreign.push_back(it->path().string());
+        for (const std::string &path : listPacks(it->path())) {
+            int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+            if (fd < 0)
+                continue;
+            scanLines(fd, [&](std::uint64_t, std::uint64_t length,
+                              std::string_view, bool) {
+                s.bytes += length;
+                ++s.stale;
+            });
+            ::close(fd);
+        }
     }
     return s;
 }
@@ -453,12 +435,14 @@ ResultStore::forget()
 }
 
 void
-ResultStore::removePacks(const std::vector<std::string> &packs) const
+ResultStore::removeSurveyed(const Survey &s) const
 {
-    for (const std::string &path : packs)
+    for (const std::string &path : s.packs)
         ::unlink(path.c_str());
-    // The one-file-per-entry layout of older builds is never read.
     std::error_code ec;
+    for (const std::string &dir : s.foreign)
+        fs::remove_all(dir, ec);
+    // The one-file-per-entry layout of older builds is never read.
     fs::remove_all(fs::path(root_) / "objects", ec);
 }
 
@@ -468,7 +452,7 @@ ResultStore::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     Survey s = survey();
     forget();
-    removePacks(s.packs);
+    removeSurveyed(s);
     return s.current.size() + s.stale + s.corrupt;
 }
 
@@ -482,22 +466,22 @@ ResultStore::prune()
     // Copy the survivors, in pack order, into a new pack the way
     // put() appends. A crash part-way leaves whole-line duplicates of
     // entries that the old packs still hold.
-    std::vector<std::pair<Digest, Location>> keep(s.current.begin(),
-                                                  s.current.end());
+    std::vector<std::pair<std::string, Location>> keep(s.current.begin(),
+                                                       s.current.end());
     std::sort(keep.begin(), keep.end(), [](const auto &a, const auto &b) {
         return std::tie(a.second.pack, a.second.offset) <
                std::tie(b.second.pack, b.second.offset);
     });
-    for (const auto &[digest, at] : keep)
+    for (const auto &[key, at] : keep)
         // A pack deleted or cut since the survey loses the entry.
         if (std::optional<std::string> line =
                 readAt(s.packs[at.pack], at.offset, at.length))
-            appendLine(digest, *line);
+            appendLine(key, *line);
     // The survivors must be on disk before their old copies go.
     if (packFd_ >= 0 && ::fsync(packFd_) != 0)
         fatal("cannot fsync result store pack '", packs_[packId_],
               "': ", std::strerror(errno));
-    removePacks(s.packs);
+    removeSurveyed(s);
     return s.stale + s.corrupt;
 }
 

@@ -24,7 +24,11 @@
  * and the store's own contract (enforced by test) is that a cache
  * hit is bitwise identical to a fresh simulation.
  *
- * Layout: append-only packs, <root>/packs/<pid>-<seq>.jsonl. An
+ * Layout: append-only packs, <root>/packs/<tag>/<pid>-<seq>.jsonl,
+ * where <tag> is the first 16 hex digits of sha256(stamp). Every key
+ * folds in the stamp, so a line of another stamp can never be a hit;
+ * keeping each stamp's packs in their own directory means opening a
+ * store never reads them, however many builds have used it. An
  * entry is one compact JSON line ({"key", "stamp", "scenario",
  * "sim"}) ending in '\n'. Each handle creates its own pack on its
  * first put (O_EXCL, so a reused pid moves on to the next `seq` of
@@ -35,11 +39,10 @@
  * Puts are not fsync'd: the store is a cache, and a crashed writer
  * can only tear the last line of its pack.
  *
- * Index: a handle maps each key's 32-byte digest to the (pack,
- * offset, length) of its line, 48 bytes per key plus the hash map's
- * node. The constructor builds it by reading every pack in
+ * Index: a handle maps each key to the (pack, offset, length) of its
+ * line. The constructor builds it by reading its stamp's packs in
  * fixed-size chunks; a line is indexed only if it ends in '\n' and
- * starts with {"key":"<64 hex>", and when a key appears twice the
+ * starts with {"key":"<64 chars>", and when a key appears twice the
  * later line wins. lookup() reads that one line with pread() and does
  * the full parse: a torn, damaged or stale-stamped line is a cache
  * miss, never an error.
@@ -49,19 +52,20 @@
  * once and both stay correct, but they do not see each other's
  * results mid-run.
  *
- * Maintenance: prune() compacts the current-stamp entries, one line
- * per key, into one new pack and deletes the old packs; clear()
- * deletes every pack. Both also delete an `objects/` tree left by
- * the one-file-per-entry layout of older builds, which is never
- * read. Neither locks against other processes: a campaign writing
- * the store at the same time can lose entries to them, which a cache
- * may do.
+ * Maintenance: usage() counts every line of another stamp's packs
+ * as stale without parsing it. prune() compacts the current-stamp
+ * entries, one line per key, into one new pack, deletes the old
+ * packs and deletes other stamps' directories whole; clear() deletes
+ * every pack. Both also delete an `objects/` tree left by the
+ * one-file-per-entry layout of older builds, which is never read.
+ * Neither locks against other processes: a campaign writing the
+ * store at the same time can lose entries to them, which a cache may
+ * do.
  */
 
 #ifndef SNOC_EXP_RESULT_STORE_HH
 #define SNOC_EXP_RESULT_STORE_HH
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -90,8 +94,8 @@ class ResultStore
 {
   public:
     /**
-     * Open (creating directories as needed) a store rooted at
-     * `root` and index the packs already on disk. `stamp` defaults
+     * Open (creating the root as needed) a store rooted at `root`
+     * and index its stamp's packs already on disk. `stamp` defaults
      * to resultStoreStamp(); tests override it to model entries
      * written by another code version.
      * @throws FatalError when the root cannot be created
@@ -136,7 +140,7 @@ class ResultStore
     struct Usage
     {
         std::uint64_t entries = 0; //!< distinct current-stamp keys
-        std::uint64_t stale = 0;   //!< lines with a foreign stamp
+        std::uint64_t stale = 0;   //!< lines of another stamp
         std::uint64_t corrupt = 0; //!< torn or unparseable lines
         std::uint64_t bytes = 0;   //!< total pack bytes on disk
     };
@@ -150,8 +154,9 @@ class ResultStore
 
     /**
      * Rewrite the current-stamp entries, one line per key, into one
-     * new pack and delete the old packs (`snoc cache prune`);
-     * returns the number of stale and corrupt lines dropped.
+     * new pack, delete the old packs and every other stamp's packs
+     * (`snoc cache prune`); returns the number of stale and corrupt
+     * lines dropped.
      */
     std::uint64_t prune();
 
@@ -159,28 +164,22 @@ class ResultStore
     const std::string &stamp() const { return stamp_; }
 
   private:
-    using Digest = std::array<unsigned char, 32>;
-
-    struct DigestHash
-    {
-        std::size_t operator()(const Digest &d) const noexcept;
-    };
-
     /** Where a key's line sits: packs_[pack], bytes [offset, +length). */
     struct Location
     {
         std::uint64_t offset = 0;
-        std::uint32_t length = 0;
-        std::uint32_t pack = 0;
+        std::uint64_t length = 0;
+        std::size_t pack = 0;
     };
 
-    using Index = std::unordered_map<Digest, Location, DigestHash>;
+    using Index = std::unordered_map<std::string, Location>;
 
-    /** Every pack's lines, classified by a full parse. */
+    /** Every pack's lines, classified (see usage()). */
     struct Survey;
 
     std::string root_;
     std::string stamp_;
+    std::string packDir_; //!< this stamp's packs: <root>/packs/<tag>
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> puts_{0};
@@ -190,17 +189,16 @@ class ResultStore
     std::vector<std::string> packs_; //!< paths, by Location::pack
     Index index_;
     int packFd_ = -1; //!< this handle's pack, opened on first put
-    std::uint32_t packId_ = 0;   //!< its Location::pack
+    std::size_t packId_ = 0;     //!< its Location::pack
     std::uint64_t packSize_ = 0; //!< its length: the next line's offset
 
-    std::string packDir() const;
-    std::vector<std::string> listPacks() const;
     void indexPack(const std::string &path);
     /** Append one entry line to this handle's pack (under mutex_). */
-    void appendLine(const Digest &digest, const std::string &line);
+    void appendLine(const std::string &key, const std::string &line);
     /** Close this handle's pack and drop its index (under mutex_). */
     void forget();
-    void removePacks(const std::vector<std::string> &packs) const;
+    /** Delete what a survey found, and any old `objects/` tree. */
+    void removeSurveyed(const Survey &s) const;
     Survey survey() const;
 };
 

@@ -7,10 +7,11 @@
  * is what the crash-safe campaign contract promises users. The rest
  * pins the addressing scheme and the pack layout: keys depend on
  * scenario content and the code-version stamp, torn, damaged and
- * stale lines degrade to misses, each handle writes its own pack and
- * sees what was on disk when it opened, and clear/prune do what
- * `snoc cache` advertises. Concurrent puts of the same keys through
- * two handles on one root must all commit.
+ * stale lines degrade to misses, each stamp keeps its own packs,
+ * each handle writes its own pack and sees what was on disk when it
+ * opened, and clear/prune do what `snoc cache` advertises.
+ * Concurrent puts of the same keys through two handles on one root
+ * must all commit.
  */
 
 #include "exp/result_store.hh"
@@ -58,16 +59,28 @@ struct TempDir
     ~TempDir() { fs::remove_all(path); }
 };
 
-/** The pack files under a store root, in name order. */
+/** The pack files under a store root, every stamp's, in name order. */
 std::vector<std::string>
 packFiles(const std::string &root)
 {
     std::vector<std::string> packs;
     for (const fs::directory_entry &e :
-         fs::directory_iterator(root + "/packs"))
-        packs.push_back(e.path().string());
+         fs::recursive_directory_iterator(root + "/packs"))
+        if (e.is_regular_file())
+            packs.push_back(e.path().string());
     std::sort(packs.begin(), packs.end());
     return packs;
+}
+
+/** The directories under <root>/packs: one per stamp that wrote. */
+std::size_t
+stampDirs(const std::string &root)
+{
+    std::size_t dirs = 0;
+    for (const fs::directory_entry &e :
+         fs::directory_iterator(root + "/packs"))
+        dirs += e.is_directory() ? 1 : 0;
+    return dirs;
 }
 
 std::string
@@ -207,6 +220,82 @@ TEST(ResultStore, StaleStampIsAMissAndPruneEvictsIt)
 
     EXPECT_EQ(now.prune(), 1u);
     EXPECT_EQ(now.usage().stale, 0u);
+}
+
+TEST(ResultStore, EachStampKeepsItsOwnPacksAndPruneDropsTheOthers)
+{
+    TempDir dir("stamps");
+    Scenario s = tinyScenario();
+    SimResult r = ExperimentRunner::runScenario(s);
+    std::vector<std::string> keys = testKeys("stamps-", 3);
+
+    // The same keys under two stamps: each handle sees only its own
+    // stamp's lines, and the other stamp's pack is never indexed.
+    ResultStore old(dir.path, "snoc-store-v1:some-older-commit");
+    ResultStore now(dir.path);
+    for (const std::string &key : keys) {
+        old.put(key, s, r);
+        now.put(key, s, r);
+    }
+    EXPECT_EQ(stampDirs(dir.path), 2u);
+    ResultStore reopened(dir.path);
+    for (const std::string &key : keys) {
+        std::optional<SimResult> hit = reopened.lookup(key);
+        ASSERT_TRUE(hit.has_value()) << key;
+        EXPECT_TRUE(*hit == r);
+    }
+
+    ResultStore::Usage u = reopened.usage();
+    EXPECT_EQ(u.entries, keys.size());
+    EXPECT_EQ(u.stale, keys.size());
+    EXPECT_EQ(u.corrupt, 0u);
+    EXPECT_EQ(u.bytes, fs::file_size(packFiles(dir.path)[0]) +
+                           fs::file_size(packFiles(dir.path)[1]));
+
+    // prune drops the other stamp's directory whole.
+    EXPECT_EQ(reopened.prune(), keys.size());
+    EXPECT_EQ(stampDirs(dir.path), 1u);
+    EXPECT_EQ(packFiles(dir.path).size(), 1u);
+    EXPECT_EQ(reopened.usage().stale, 0u);
+    for (const std::string &key : keys)
+        EXPECT_TRUE(ResultStore(dir.path).lookup(key).has_value());
+
+    // A pruned stamp's next handle can still put: its directory comes
+    // back with its first pack.
+    ResultStore older(dir.path, "snoc-store-v1:some-older-commit");
+    EXPECT_FALSE(older.lookup(keys[0]).has_value());
+    older.put(keys[0], s, r);
+    EXPECT_EQ(stampDirs(dir.path), 2u);
+    EXPECT_EQ(reopened.usage().stale, 1u);
+}
+
+TEST(ResultStore, OpenNeverReadsAnotherStampsDirectory)
+{
+    TempDir dir("foreign");
+    Scenario s = tinyScenario();
+    SimResult r = ExperimentRunner::runScenario(s);
+    std::vector<std::string> keys = testKeys("foreign-", 4);
+    {
+        ResultStore writer(dir.path);
+        for (const std::string &key : keys)
+            writer.put(key, s, r);
+    }
+
+    // Move this stamp's packs under another stamp's tag. Their lines
+    // still carry this stamp, so only where they sit can hide them.
+    std::vector<std::string> packs = packFiles(dir.path);
+    ASSERT_EQ(packs.size(), 1u);
+    fs::path own = fs::path(packs[0]).parent_path();
+    fs::rename(own, own.parent_path() / "0000000000000000");
+
+    ResultStore store(dir.path);
+    for (const std::string &key : keys)
+        EXPECT_FALSE(store.lookup(key).has_value()) << key;
+    ResultStore::Usage u = store.usage();
+    EXPECT_EQ(u.entries, 0u);
+    EXPECT_EQ(u.stale, keys.size()); // counted, never parsed
+    EXPECT_EQ(store.prune(), keys.size());
+    EXPECT_EQ(stampDirs(dir.path), 0u);
 }
 
 TEST(ResultStore, CorruptEntryIsAMissNeverAnError)
